@@ -1,28 +1,32 @@
-// Flat timed event queues for the discrete-event core.
+// The discrete-event core's timed event queue.
 //
-// TimedQueue<Payload> is the production scheduler: a 4-ary min-heap over
-// (time, seq) stored in one contiguous vector, with O(1) amortized lazy
-// cancellation and a profile of its own heap work. The 4-ary layout halves
-// the sift depth of a binary heap and keeps four children in one cache
-// line of Entry headers — at 10^7+ events per internet-scale run the
-// scheduler is the hottest loop in the simulator, so its cost is tracked
-// explicitly (see TimedQueueProfile).
+// KeyedTimedQueue<Payload> is the one scheduler heap: a 4-ary min-heap
+// over (time, key) stored in one contiguous vector, with a profile of its
+// own heap work. The 4-ary layout halves the sift depth of a binary heap
+// and keeps four children in one cache line of Entry headers — at 10^7+
+// events per internet-scale run the scheduler is the hottest loop in the
+// simulator, so its cost is tracked explicitly (see TimedQueueProfile).
 //
-// Determinism contract: entries pop in strictly increasing (time, seq)
-// order, where seq is the push sequence number. That order is a total
-// order (seq is unique), so ANY correct implementation pops the exact same
-// sequence — which is what lets the heap replace the legacy
-// std::priority_queue scheduler without disturbing a single golden
-// fingerprint. LegacyTimedQueue below IS that legacy implementation,
-// retained as the differential reference for the scheduler property suite
-// (tests/scheduler_property_test.cpp); production code must use TimedQueue.
+// Determinism contract: entries pop in strictly increasing (time, key)
+// order. The caller supplies the key, and with it the tie-break:
+//   * EventLoop keys by push sequence number, so equal-time events fire in
+//     schedule order. tests/scheduler_property_test.cpp checks that order
+//     pop for pop against a std::priority_queue reference.
+//   * ScaleSim's shards key by the event's identity (which block, which
+//     edge, which mine slot) rather than by when it was pushed. Push order
+//     is an execution artifact — two shard counts interleave pushes
+//     differently — so only an identity key lets a K-shard run replay a
+//     1-shard run fingerprint-for-fingerprint.
+// Callers must make (time, key) collisions either impossible (unique
+// sequence numbers) or harmless: ScaleSim encodes (kind | block |
+// destination), so two entries share a key only when they are the same
+// logical delivery and the second is a duplicate.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -34,146 +38,11 @@ namespace forksim::p2p {
 struct TimedQueueProfile {
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
-  std::uint64_t cancels = 0;
+  std::uint64_t cancels = 0;      // always 0: the queue has no cancellation
   std::uint64_t sift_steps = 0;   // up + down moves, pushes and pops
   std::uint64_t max_size = 0;     // high-water mark of stored entries
 };
 
-template <typename Payload>
-class TimedQueue {
- public:
-  struct Entry {
-    double at = 0.0;
-    std::uint64_t seq = 0;
-    Payload payload{};
-  };
-
-  /// Schedule `payload` at absolute time `at`. Returns the entry's unique
-  /// sequence number (also its cancellation handle). Ties at equal `at`
-  /// pop in push order.
-  std::uint64_t push(double at, Payload payload) {
-    const std::uint64_t seq = next_seq_++;
-    heap_.push_back(Entry{at, seq, std::move(payload)});
-    sift_up(heap_.size() - 1);
-    ++live_;
-    ++profile_.pushes;
-    if (heap_.size() > profile_.max_size) profile_.max_size = heap_.size();
-    return seq;
-  }
-
-  /// Cancel a scheduled entry by its handle. Lazy: the entry is tombstoned
-  /// and skipped (and reclaimed) when it reaches the top. Returns false if
-  /// the handle was never scheduled, already popped, or already cancelled.
-  bool cancel(std::uint64_t seq) {
-    if (seq >= next_seq_) return false;
-    if (!cancelled_.insert(seq).second) return false;
-    if (live_ == 0) {  // everything stored is already dead
-      cancelled_.erase(seq);
-      return false;
-    }
-    // Handles of already-popped entries are not tracked individually; probe
-    // lazily: if the seq is still in the heap the insert stands, otherwise
-    // undo it. The probe is O(n) worst case but runs only on a cancel of a
-    // stale handle — the hot path (valid cancel) stays O(1).
-    for (const Entry& e : heap_)
-      if (e.seq == seq) {
-        ++profile_.cancels;
-        --live_;
-        return true;
-      }
-    cancelled_.erase(seq);
-    return false;
-  }
-
-  bool empty() const noexcept { return live_ == 0; }
-  std::size_t size() const noexcept { return live_; }
-
-  /// Min live entry. Requires !empty().
-  const Entry& top() {
-    prune();
-    return heap_.front();
-  }
-
-  /// Pop and return the min live entry. Requires !empty().
-  Entry pop() {
-    prune();
-    Entry out = std::move(heap_.front());
-    remove_top();
-    --live_;
-    ++profile_.pops;
-    return out;
-  }
-
-  const TimedQueueProfile& profile() const noexcept { return profile_; }
-
- private:
-  static bool earlier(const Entry& a, const Entry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
-
-  void sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!earlier(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-      ++profile_.sift_steps;
-    }
-  }
-
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t first_child = 4 * i + 1;
-      if (first_child >= n) return;
-      std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + 4, n);
-      for (std::size_t c = first_child + 1; c < last_child; ++c)
-        if (earlier(heap_[c], heap_[best])) best = c;
-      if (!earlier(heap_[best], heap_[i])) return;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-      ++profile_.sift_steps;
-    }
-  }
-
-  void remove_top() {
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
-
-  /// Drop tombstoned entries off the top so front() is live.
-  void prune() {
-    while (!heap_.empty() && !cancelled_.empty() &&
-           cancelled_.erase(heap_.front().seq) > 0)
-      remove_top();
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-  TimedQueueProfile profile_;
-};
-
-/// Per-shard scheduler for the conservative-PDES engine (sim/scalesim).
-///
-/// TimedQueue's (time, seq) tie-break is a push-order tie-break: it is the
-/// right total order for a single sequential loop, but push order is an
-/// execution artifact — two shard counts interleave pushes differently, so
-/// seq-based ordering cannot be bit-identical across them. KeyedTimedQueue
-/// instead orders by (time, key) where the KEY IS SUPPLIED BY THE CALLER
-/// and derived from the event's identity (which block, which edge, which
-/// mine slot) rather than from when it was pushed. Any push order of the
-/// same event set pops in the same sequence — the property that lets a
-/// K-shard run replay a 1-shard run fingerprint-for-fingerprint.
-///
-/// Callers must make (time, key) collisions either impossible or harmless:
-/// the ScaleSim engine encodes (kind | block | destination) so two entries
-/// share a key only when they are the same logical delivery (in which case
-/// pop order between them cannot matter — the second is a duplicate).
 template <typename Payload>
 class KeyedTimedQueue {
  public:
@@ -273,22 +142,8 @@ class PhaseBarrier {
   std::uint64_t generation_ = 0;
 };
 
-/// A conservative-PDES execution plan: which shard owns each node, and the
-/// lookahead (minimum cross-shard one-way latency, seconds) that bounds a
-/// lock-step epoch. Built by the scenario layer from its topology + geo
-/// configuration; consumed by the ScaleSim shard engine and by
-/// EventLoop::run_epochs_until (the full-node hook, which executes the
-/// same epoch schedule sequentially until node state is shard-isolated).
+/// The conservative-PDES node partition used by the ScaleSim shard engine.
 struct ShardPlan {
-  std::size_t num_shards = 1;
-  /// node index -> owning shard (contiguous ranges; empty means "derive
-  /// with shard_of on demand").
-  std::vector<std::uint32_t> shard_of;
-  /// Epoch bound: no message sent in epoch [T, T + lookahead) can arrive
-  /// before T + lookahead. <= 0 means no safe bound exists (co-located
-  /// shards); only a single shard may run then.
-  double lookahead = 0.0;
-
   /// Balanced contiguous partition: nodes [s*n/k, (s+1)*n/k) land on shard
   /// s. Contiguity keeps each shard's SoA rows and bitset rows adjacent.
   static std::uint32_t shard_for(std::size_t node, std::size_t n,
@@ -296,81 +151,6 @@ struct ShardPlan {
     if (k <= 1 || n == 0) return 0;
     return static_cast<std::uint32_t>(node * k / n);
   }
-};
-
-/// The pre-refactor scheduler: std::priority_queue with the same (time,
-/// seq) tie-break, cancellation bolted on via the same tombstone scheme.
-/// Kept ONLY as the differential-testing reference — the property suite
-/// drives identical interleavings through both implementations and demands
-/// identical pop sequences. Scheduled for deletion once the suite has
-/// soaked; do not use in new code.
-template <typename Payload>
-class LegacyTimedQueue {
- public:
-  using Entry = typename TimedQueue<Payload>::Entry;
-
-  std::uint64_t push(double at, Payload payload) {
-    const std::uint64_t seq = next_seq_++;
-    queue_.push(Entry{at, seq, std::move(payload)});
-    ++live_;
-    return seq;
-  }
-
-  bool cancel(std::uint64_t seq) {
-    if (seq >= next_seq_ || live_ == 0) return false;
-    if (!cancelled_.insert(seq).second) return false;
-    // mirror TimedQueue: a stale handle (already popped) is a no-op
-    std::priority_queue<Entry, std::vector<Entry>, Later> probe = queue_;
-    bool found = false;
-    while (!probe.empty()) {
-      if (probe.top().seq == seq) {
-        found = true;
-        break;
-      }
-      probe.pop();
-    }
-    if (!found) {
-      cancelled_.erase(seq);
-      return false;
-    }
-    --live_;
-    return true;
-  }
-
-  bool empty() const noexcept { return live_ == 0; }
-  std::size_t size() const noexcept { return live_; }
-
-  Entry pop() {
-    prune();
-    Entry out = queue_.top();
-    queue_.pop();
-    --live_;
-    return out;
-  }
-
-  const Entry& top() {
-    prune();
-    return queue_.top();
-  }
-
- private:
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  void prune() {
-    while (!queue_.empty() && !cancelled_.empty() &&
-           cancelled_.erase(queue_.top().seq) > 0)
-      queue_.pop();
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
 };
 
 }  // namespace forksim::p2p

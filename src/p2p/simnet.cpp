@@ -10,12 +10,7 @@ namespace forksim::p2p {
 
 void EventLoop::schedule(SimTime delay, Callback fn) {
   if (delay < 0) delay = 0;
-  queue_.push(now_ + delay, std::move(fn));
-}
-
-std::uint64_t EventLoop::schedule_cancellable(SimTime delay, Callback fn) {
-  if (delay < 0) delay = 0;
-  return queue_.push(now_ + delay, std::move(fn));
+  queue_.push(now_ + delay, next_seq_++, std::move(fn));
 }
 
 std::size_t EventLoop::run_until(SimTime deadline) {
@@ -28,29 +23,6 @@ std::size_t EventLoop::run_until(SimTime deadline) {
   }
   if (now_ < deadline) now_ = deadline;
   return executed;
-}
-
-EventLoop::EpochRunStats EventLoop::run_epochs_until(SimTime deadline,
-                                                     double lookahead) {
-  EpochRunStats st;
-  if (!(lookahead > 0)) {
-    st.events = run_until(deadline);
-    st.epochs = st.events > 0 ? 1 : 0;
-    return st;
-  }
-  while (!queue_.empty() && queue_.top().at <= deadline) {
-    const SimTime horizon = queue_.top().at + lookahead;
-    ++st.epochs;
-    while (!queue_.empty() && queue_.top().at < horizon &&
-           queue_.top().at <= deadline) {
-      auto ev = queue_.pop();
-      now_ = ev.at;
-      ev.payload();
-      ++st.events;
-    }
-  }
-  if (now_ < deadline) now_ = deadline;
-  return st;
 }
 
 std::size_t EventLoop::run() {

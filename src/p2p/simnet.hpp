@@ -18,9 +18,10 @@
 
 namespace forksim::p2p {
 
-/// Deterministic event loop over the flat 4-ary TimedQueue. Ties broken by
-/// insertion order — the same total order as the legacy priority_queue
-/// scheduler, so the swap is invisible to golden fingerprints.
+/// Deterministic event loop over the 4-ary KeyedTimedQueue, keyed by
+/// schedule order: ties at equal times fire in insertion order — the same
+/// total order as the original priority_queue scheduler, so the heap is
+/// invisible to golden fingerprints.
 class EventLoop {
  public:
   using Callback = std::function<void()>;
@@ -30,38 +31,12 @@ class EventLoop {
   /// Schedule `fn` to run `delay` seconds from now (>= 0).
   void schedule(SimTime delay, Callback fn);
 
-  /// schedule() that returns a handle cancel() accepts. Timer-heavy code
-  /// (sync retries, churn) can revoke events instead of letting dead
-  /// closures fire into a generation check.
-  std::uint64_t schedule_cancellable(SimTime delay, Callback fn);
-
-  /// Revoke a scheduled event. Returns false for a handle that already
-  /// fired or was already cancelled.
-  bool cancel(std::uint64_t handle) { return queue_.cancel(handle); }
-
   /// Run events until the queue empties or `deadline` passes. Returns the
   /// number of events executed.
   std::size_t run_until(SimTime deadline);
 
   /// Run everything (no deadline).
   std::size_t run();
-
-  /// Execution tally of run_epochs_until.
-  struct EpochRunStats {
-    std::size_t events = 0;
-    std::size_t epochs = 0;
-  };
-
-  /// run_until, restructured as conservative-PDES lookahead epochs: each
-  /// epoch drains events in [t_min, t_min + lookahead) where t_min is the
-  /// earliest pending timestamp. Event order is identical to run_until —
-  /// epoch boundaries never reorder a (time, seq) queue — so a seeded run
-  /// is draw-for-draw unchanged (asserted by tests/parallel_sim_test.cpp).
-  /// This is the scheduling seam for sharded execution: a K-shard loop
-  /// runs the same epochs with one queue per shard and a barrier where
-  /// this version merely re-reads top(). A non-positive lookahead
-  /// degenerates to a single epoch (== run_until).
-  EpochRunStats run_epochs_until(SimTime deadline, double lookahead);
 
   std::size_t pending() const noexcept { return queue_.size(); }
 
@@ -73,7 +48,8 @@ class EventLoop {
 
  private:
   SimTime now_ = 0;
-  TimedQueue<Callback> queue_;
+  std::uint64_t next_seq_ = 0;  // the queue key: schedule order
+  KeyedTimedQueue<Callback> queue_;
 };
 
 /// Endpoint identifier on the simulated network (a devp2p node id).

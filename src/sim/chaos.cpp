@@ -39,12 +39,6 @@ void ChaosParams::validate() const {
   // that don't sum to 1, unknown families etc. die here by name, like the
   // degree/region configs above (no-op while the layer is disabled)
   scenario.clients.validate();
-  if (scenario.num_shards == 0 ||
-      scenario.num_shards > scenario.nodes_eth + scenario.nodes_etc)
-    throw std::invalid_argument(
-        "ChaosParams: scenario.num_shards (" +
-        std::to_string(scenario.num_shards) + ") must be in [1, nodes=" +
-        std::to_string(scenario.nodes_eth + scenario.nodes_etc) + "]");
   require_prob(extra_loss, "extra_loss");
   require_prob(duplicate_prob, "duplicate_prob");
   require_prob(reorder_prob, "reorder_prob");

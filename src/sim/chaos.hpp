@@ -196,7 +196,9 @@ struct ChaosReport {
   std::uint64_t disk_torn_writes = 0;
   std::uint64_t disk_tail_truncations = 0;
   std::uint64_t disk_bits_flipped = 0;
-  // resilience telemetry, summed over surviving nodes
+  // resilience telemetry: the four sync/dial/ban counts are summed over
+  // every node, running or not (a crashed node keeps what it counted);
+  // messages_sent is the network's total
   std::uint64_t sync_timeouts = 0;
   std::uint64_t sync_retries = 0;
   std::uint64_t dial_attempts = 0;

@@ -1,8 +1,6 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "trie/trie.hpp"
@@ -34,19 +32,6 @@ ForkScenario::ForkScenario(ScenarioParams params)
   }
 
   const std::size_t total_nodes = params_.nodes_eth + params_.nodes_etc;
-  if (params_.num_shards == 0 || params_.num_shards > total_nodes)
-    throw std::invalid_argument(
-        "ScenarioParams: num_shards (" + std::to_string(params_.num_shards) +
-        ") must be in [1, nodes=" + std::to_string(total_nodes) + "]");
-  // epoch bound for sharded run_for: the tightest one-way latency floor any
-  // link can have — the uniform base, or the smallest geo region-pair RTT/2
-  epoch_lookahead_ = std::max(0.0, params_.latency.base);
-  if (params_.geo.enabled) {
-    double floor = std::numeric_limits<double>::infinity();
-    for (const auto& row : params_.geo.rtt)
-      for (const double rtt : row) floor = std::min(floor, 0.5 * rtt);
-    epoch_lookahead_ = floor;
-  }
   const core::ChainConfig eth_config = core::ChainConfig::eth(
       params_.fork_block);
   const core::ChainConfig etc_config =
@@ -167,24 +152,7 @@ ForkScenario::~ForkScenario() {
 }
 
 void ForkScenario::run_for(double seconds) {
-  const double deadline = loop_.now() + seconds;
-  if (params_.num_shards > 1) {
-    const auto st = loop_.run_epochs_until(deadline, epoch_lookahead_);
-    epochs_run_ += st.epochs;
-  } else {
-    loop_.run_until(deadline);
-  }
-}
-
-p2p::ShardPlan ForkScenario::shard_plan() const {
-  p2p::ShardPlan plan;
-  plan.num_shards = params_.num_shards;
-  plan.lookahead = epoch_lookahead_;
-  plan.shard_of.resize(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    plan.shard_of[i] = p2p::ShardPlan::shard_for(i, nodes_.size(),
-                                                 params_.num_shards);
-  return plan;
+  loop_.run_until(loop_.now() + seconds);
 }
 
 std::size_t ForkScenario::distinct_heads() const {

@@ -57,15 +57,6 @@ struct ScenarioParams {
   ClientMixParams clients;
   NodeOptions node_options;
   std::uint64_t seed = 1;
-  /// Conservative-PDES epoch batching for the event loop. 1 (the default)
-  /// keeps run_for on plain EventLoop::run_until. > 1 opts run_for into
-  /// lookahead-bounded epochs (EventLoop::run_epochs_until) with the bound
-  /// derived from the latency floor (uniform base, or the minimum geo
-  /// region-pair one-way RTT) — draw-for-draw identical to run_until by
-  /// construction — and publishes the node partition via shard_plan() for
-  /// sharded executors. Values > node count are rejected by ChaosParams
-  /// and the ForkScenario constructor.
-  std::size_t num_shards = 1;
 };
 
 class ForkScenario {
@@ -113,20 +104,8 @@ class ForkScenario {
     return quirk_rules_.get();
   }
 
-  /// Advance the simulation. With params.num_shards > 1 this drives the
-  /// loop in conservative-PDES lookahead epochs (identical event order —
-  /// see EventLoop::run_epochs_until); otherwise a plain run_until.
+  /// Advance the simulation by `seconds` of simulated time.
   void run_for(double seconds);
-
-  /// The epoch bound used by run_for when num_shards > 1: the scenario's
-  /// minimum one-way link latency floor (uniform base, or the smallest geo
-  /// region-pair RTT / 2) — never above any actual link's latency.
-  double epoch_lookahead() const noexcept { return epoch_lookahead_; }
-  /// Epochs executed by run_for so far (0 while num_shards == 1).
-  std::size_t epochs_run() const noexcept { return epochs_run_; }
-  /// Contiguous node partition for params.num_shards shards, paired with
-  /// the epoch lookahead — what a sharded executor consumes.
-  p2p::ShardPlan shard_plan() const;
 
   // ---- measurements ------------------------------------------------------
   /// Number of distinct canonical head hashes across running nodes; 1 =
@@ -161,8 +140,6 @@ class ForkScenario {
   std::unique_ptr<QuirkRuleSet> quirk_rules_;   // null unless clients on
   std::vector<std::unique_ptr<FullNode>> nodes_;
   std::vector<std::unique_ptr<Miner>> miners_;
-  double epoch_lookahead_ = 0.0;
-  std::size_t epochs_run_ = 0;
 };
 
 }  // namespace forksim::sim

@@ -55,8 +55,14 @@ const U256 kOperands[] = {
     U256(0xdeadbeefcafebabeull) << 64,
 };
 
+// gtest names each case by printing its parameter's raw bytes, so the
+// padding after `op` is spelled out and zeroed: left implicit it holds
+// stack garbage and the test name changes from run to run.
 struct BinCase {
+  BinCase(Op o, const char* n, U256 (*ref)(const U256&, const U256&))
+      : op(o), name(n), reference(ref) {}
   Op op;
+  std::uint8_t zero_pad[7] = {};
   const char* name;
   U256 (*reference)(const U256&, const U256&);
 };
@@ -181,6 +187,12 @@ struct GasCase {
   int pushes;        // operands to push
   std::uint64_t expected;  // Homestead cost of the op itself
 };
+
+// Printed into the test name; the default raw-byte dump would include the
+// address of `name`, which changes from run to run.
+void PrintTo(const GasCase& c, std::ostream* os) {
+  *os << c.name << ", " << c.pushes << " operands, " << c.expected << " gas";
+}
 
 class OpGasTest : public ::testing::TestWithParam<GasCase> {};
 

@@ -5,8 +5,7 @@
 // tests on the machinery itself: the epoch-barrier conservative invariant
 // (no cross-shard message may land before the sending epoch's horizon),
 // lookahead floors vs. actual link latencies, KeyedTimedQueue
-// push-order-invariance, PhaseBarrier synchronization, and the EventLoop
-// epoch hook staying draw-for-draw identical to run_until.
+// push-order-invariance, and PhaseBarrier synchronization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +16,7 @@
 #include "obs/metrics.hpp"
 #include "p2p/geo.hpp"
 #include "p2p/scheduler.hpp"
-#include "p2p/simnet.hpp"
 #include "sim/scalesim.hpp"
-#include "sim/scenario.hpp"
 
 namespace forksim {
 namespace {
@@ -348,115 +345,6 @@ TEST(PhaseBarrierTest, RoundsArePublishedToEveryThread) {
   for (std::size_t t = 0; t < kThreads; ++t)
     EXPECT_EQ(failures[t], 0) << "thread " << t
                               << " observed a torn barrier round";
-}
-
-// ---- EventLoop epoch hook --------------------------------------------------
-
-TEST(EventLoopEpochTest, EpochRunMatchesRunUntilExactly) {
-  // identical event graphs on two loops: one driven by run_until, one by
-  // lookahead epochs. The observable execution order (and thus every
-  // rng-free side effect) must match event for event.
-  struct Driver {
-    p2p::EventLoop loop;
-    std::vector<int> order;
-    void fire(int src, int depth) {
-      order.push_back(src * 100 + depth);
-      if (depth < 20)
-        loop.schedule(0.05 * ((src + depth) % 4),
-                      [this, src, depth] { fire(src, depth + 1); });
-    }
-    void seed() {
-      // self-rescheduling chains with ties at the same timestamp
-      for (int src = 0; src < 5; ++src)
-        loop.schedule(0.01 * src, [this, src] { fire(src, 0); });
-    }
-  };
-  Driver ref;
-  ref.seed();
-  const std::size_t ref_count = ref.loop.run_until(30.0);
-  EXPECT_EQ(ref_count, 5u * 21u);
-
-  Driver epoch;
-  epoch.seed();
-  const auto st = epoch.loop.run_epochs_until(30.0, 0.04);
-  EXPECT_EQ(st.events, ref_count);
-  EXPECT_GT(st.epochs, 1u);
-  EXPECT_EQ(epoch.order, ref.order);
-  EXPECT_EQ(epoch.loop.now(), ref.loop.now());
-}
-
-TEST(EventLoopEpochTest, NonPositiveLookaheadDegeneratesToRunUntil) {
-  p2p::EventLoop loop;
-  int fired = 0;
-  loop.schedule(1.0, [&fired] { ++fired; });
-  loop.schedule(2.0, [&fired] { ++fired; });
-  const auto st = loop.run_epochs_until(10.0, 0.0);
-  EXPECT_EQ(st.events, 2u);
-  EXPECT_EQ(st.epochs, 1u);
-  EXPECT_EQ(fired, 2);
-}
-
-// ---- ForkScenario plumbing -------------------------------------------------
-
-TEST(ScenarioShardTest, EpochDrivenScenarioMatchesPlainRunExactly) {
-  sim::ScenarioParams base;
-  base.nodes_eth = 6;
-  base.nodes_etc = 2;
-  base.miners_per_side_eth = 2;
-  base.miners_per_side_etc = 1;
-  base.seed = 42;
-
-  auto run = [](sim::ScenarioParams p) {
-    sim::ForkScenario scenario(p);
-    obs::Registry reg;
-    scenario.attach_telemetry(reg);
-    scenario.run_for(120.0);
-    struct Out {
-      Hash256 telemetry;
-      std::size_t heads;
-      std::uint64_t eth_height;
-      std::size_t epochs;
-    };
-    return Out{reg.fingerprint(), scenario.distinct_heads(),
-               scenario.best_height_eth(), scenario.epochs_run()};
-  };
-
-  const auto ref = run(base);
-  EXPECT_EQ(ref.epochs, 0u);  // single-shard: plain run_until
-
-  sim::ScenarioParams sharded = base;
-  sharded.num_shards = 4;
-  const auto got = run(sharded);
-  EXPECT_GT(got.epochs, 1u);
-  EXPECT_EQ(got.telemetry, ref.telemetry)
-      << "epoch-driven scenario diverged from plain run_until";
-  EXPECT_EQ(got.heads, ref.heads);
-  EXPECT_EQ(got.eth_height, ref.eth_height);
-}
-
-TEST(ScenarioShardTest, ShardPlanIsPublishedAndBounded) {
-  sim::ScenarioParams p;
-  p.nodes_eth = 6;
-  p.nodes_etc = 2;
-  p.num_shards = 4;
-  sim::ForkScenario scenario(p);
-  const p2p::ShardPlan plan = scenario.shard_plan();
-  EXPECT_EQ(plan.num_shards, 4u);
-  ASSERT_EQ(plan.shard_of.size(), 8u);
-  EXPECT_EQ(plan.lookahead, scenario.epoch_lookahead());
-  EXPECT_GT(plan.lookahead, 0.0);
-  // the lookahead is a true floor on the scenario's default latency model
-  EXPECT_LE(plan.lookahead, p.latency.base);
-  for (std::size_t i = 0; i < plan.shard_of.size(); ++i)
-    EXPECT_EQ(plan.shard_of[i], p2p::ShardPlan::shard_for(i, 8, 4));
-}
-
-TEST(ScenarioShardTest, OutOfRangeShardCountThrows) {
-  sim::ScenarioParams p;
-  p.nodes_eth = 3;
-  p.nodes_etc = 1;
-  p.num_shards = 5;  // > node count
-  EXPECT_THROW(sim::ForkScenario{p}, std::invalid_argument);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
-// Scheduler determinism sweep: the flat 4-ary TimedQueue must pop in
-// strict (time, seq) order under arbitrary interleavings of schedule /
-// cancel / fire, and — driven by the same seeded op stream — must produce
-// a pop-for-pop identical sequence to the legacy priority_queue scheduler
-// it replaced. This differential is what licenses deleting the legacy
-// implementation: any divergence here is a golden-fingerprint break
-// waiting to happen.
+// Scheduler determinism sweep: the flat 4-ary KeyedTimedQueue, keyed by
+// push sequence number the way EventLoop keys it, must pop in strict
+// (time, seq) order under arbitrary interleavings of schedule / fire, and
+// — driven by the same seeded op stream — must produce a pop-for-pop
+// identical sequence to the std::priority_queue scheduler it replaced.
+// Any divergence here is a golden-fingerprint break waiting to happen.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include "p2p/scheduler.hpp"
@@ -17,6 +18,37 @@
 namespace forksim::p2p {
 namespace {
 
+/// The pre-heap scheduler: std::priority_queue with the same (time, key)
+/// order. Kept only as the differential reference for the heap.
+template <typename Payload>
+class LegacyTimedQueue {
+ public:
+  using Entry = typename KeyedTimedQueue<Payload>::Entry;
+
+  void push(double at, std::uint64_t key, Payload payload) {
+    queue_.push(Entry{at, key, std::move(payload)});
+  }
+
+  bool empty() const noexcept { return queue_.empty(); }
+  std::size_t size() const noexcept { return queue_.size(); }
+
+  Entry pop() {
+    Entry out = queue_.top();
+    queue_.pop();
+    return out;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.at != b.at) return a.at > b.at;
+      return a.key > b.key;
+    }
+  };
+
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+};
+
 struct Pop {
   double at;
   std::uint64_t seq;
@@ -24,47 +56,38 @@ struct Pop {
   bool operator==(const Pop&) const = default;
 };
 
-/// One seeded interleaving of schedule/cancel/fire driven through `q`.
-/// Returns the pop trace; cancel outcomes and sizes are asserted inline.
+/// One seeded interleaving of schedule/fire driven through `q`, keyed by
+/// push sequence number as EventLoop does. Returns the pop trace; sizes
+/// are asserted inline.
 template <typename Queue>
 std::vector<Pop> drive(Queue& q, std::uint64_t seed, std::size_t ops) {
   Rng rng(seed);
-  std::vector<std::uint64_t> outstanding;  // handles not yet popped/cancelled
-  std::vector<std::uint64_t> dead;         // popped or cancelled handles
+  std::uint64_t next_seq = 0;
+  std::size_t outstanding = 0;
   std::vector<Pop> pops;
-  int next_payload = 0;
   for (std::size_t op = 0; op < ops; ++op) {
-    const double coin = rng.uniform01();
-    if (coin < 0.5) {  // schedule; coarse times force (seq) tie-breaks
+    if (rng.uniform01() < 0.5) {  // schedule; coarse times force (seq) ties
       const double at = static_cast<double>(rng.uniform(32));
-      outstanding.push_back(q.push(at, next_payload++));
-    } else if (coin < 0.65 && !outstanding.empty()) {  // cancel live
-      const std::size_t pick = rng.uniform(outstanding.size());
-      const std::uint64_t handle = outstanding[pick];
-      EXPECT_TRUE(q.cancel(handle));
-      EXPECT_FALSE(q.cancel(handle));  // double-cancel refused
-      outstanding.erase(outstanding.begin() + pick);
-      dead.push_back(handle);
-    } else if (coin < 0.72 && !dead.empty()) {  // cancel stale handle
-      EXPECT_FALSE(q.cancel(dead[rng.uniform(dead.size())]));
+      const std::uint64_t seq = next_seq++;
+      q.push(at, seq, static_cast<int>(seq));
+      ++outstanding;
     } else if (!q.empty()) {  // fire
       const auto e = q.pop();
-      pops.push_back(Pop{e.at, e.seq, e.payload});
-      std::erase(outstanding, e.seq);
-      dead.push_back(e.seq);
+      pops.push_back(Pop{e.at, e.key, e.payload});
+      --outstanding;
     }
-    EXPECT_EQ(q.size(), outstanding.size());
+    EXPECT_EQ(q.size(), outstanding);
   }
   while (!q.empty()) {
     const auto e = q.pop();
-    pops.push_back(Pop{e.at, e.seq, e.payload});
+    pops.push_back(Pop{e.at, e.key, e.payload});
   }
   return pops;
 }
 
 TEST(SchedulerPropertyTest, PopsInTimeSeqOrderAcrossRandomInterleavings) {
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
-    TimedQueue<int> q;
+    KeyedTimedQueue<int> q;
     const auto pops = drive(q, seed, 300);
     for (std::size_t i = 0; i + 1 < pops.size(); ++i) {
       // (time, seq) is a strict total order over pops taken from the same
@@ -82,31 +105,31 @@ TEST(SchedulerPropertyTest, DrainedTailIsFullySorted) {
   // after the drive loop stops pushing, the drain pops must be totally
   // (time, seq)-ordered
   for (std::uint64_t seed = 500; seed <= 600; ++seed) {
-    TimedQueue<int> q;
+    KeyedTimedQueue<int> q;
     Rng rng(seed);
     for (int i = 0; i < 500; ++i)
-      q.push(static_cast<double>(rng.uniform(64)), i);
+      q.push(static_cast<double>(rng.uniform(64)), i, i);
     double prev_at = -1.0;
     std::uint64_t prev_seq = 0;
     bool first = true;
     while (!q.empty()) {
       const auto e = q.pop();
       if (!first) {
-        EXPECT_TRUE(e.at > prev_at || (e.at == prev_at && e.seq > prev_seq))
+        EXPECT_TRUE(e.at > prev_at || (e.at == prev_at && e.key > prev_seq))
             << "seed " << seed;
       }
       prev_at = e.at;
-      prev_seq = e.seq;
+      prev_seq = e.key;
       first = false;
     }
   }
 }
 
 TEST(SchedulerPropertyTest, HeapMatchesLegacyPopForPop) {
-  // the satellite contract: same seed => identical pop sequence across
-  // the heap and the legacy implementation, cancellations included
+  // same seed => identical pop sequence across the heap and the legacy
+  // implementation
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    TimedQueue<int> heap;
+    KeyedTimedQueue<int> heap;
     LegacyTimedQueue<int> legacy;
     const auto a = drive(heap, seed, 400);
     const auto b = drive(legacy, seed, 400);
@@ -117,136 +140,43 @@ TEST(SchedulerPropertyTest, HeapMatchesLegacyPopForPop) {
 }
 
 TEST(SchedulerPropertyTest, ProfileCountsHeapWork) {
-  TimedQueue<int> q;
-  for (int i = 0; i < 1000; ++i) q.push(1000.0 - i, i);
+  KeyedTimedQueue<int> q;
+  for (int i = 0; i < 1000; ++i) q.push(1000.0 - i, i, i);
   while (!q.empty()) q.pop();
   const TimedQueueProfile& p = q.profile();
   EXPECT_EQ(p.pushes, 1000u);
   EXPECT_EQ(p.pops, 1000u);
   EXPECT_EQ(p.max_size, 1000u);
-  EXPECT_GT(p.sift_steps, 0u);
-  // 4-ary heap: pop depth is ~log4(n) ~= 5 at n=1000, far below the
-  // elements-compared bound; a broken sift shows up as a blowup here
-  EXPECT_LT(p.sift_steps, 40000u);
+  // exact heap work: every push of a descending time sifts to the root,
+  // every pop sifts back down ~log4(n) levels. Any change to the heap's
+  // arity, tie-break or sift moves this number.
+  EXPECT_EQ(p.sift_steps, 8095u);
 }
 
-TEST(SchedulerPropertyTest, CancelOfPoppedHandleRefusedAfterReuse) {
-  TimedQueue<int> q;
-  const auto h1 = q.push(1.0, 1);
-  const auto h2 = q.push(2.0, 2);
-  EXPECT_EQ(q.pop().seq, h1);
-  EXPECT_FALSE(q.cancel(h1));  // already fired
-  EXPECT_TRUE(q.cancel(h2));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.cancel(12345));  // never scheduled
-}
-
-TEST(SchedulerPropertyTest, CancelThenRescheduleSameSlotAdversarial) {
-  // adversarial lazy-cancellation pattern: repeatedly cancel the earliest
-  // live entry and immediately reschedule the same payload at the SAME
-  // timestamp. Tombstones pile up at the heap top — exactly where lazy
-  // cancellation must skip them — while a model oracle (live map, sorted
-  // by (time, handle)) pins the expected drain.
-  for (std::uint64_t seed = 900; seed <= 930; ++seed) {
-    TimedQueue<int> q;
-    Rng rng(seed);
-    struct Live {
-      std::uint64_t handle;
-      double at;
-      int payload;
-    };
-    std::vector<Live> model;
-    int next_payload = 0;
-    for (int i = 0; i < 64; ++i) {
-      const double at = static_cast<double>(rng.uniform(8));
-      model.push_back({q.push(at, next_payload), at, next_payload});
-      ++next_payload;
-    }
-    for (int round = 0; round < 200; ++round) {
-      // cancel the model's earliest entry (the heap's current/near top)...
-      const auto earliest = std::min_element(
-          model.begin(), model.end(), [](const Live& a, const Live& b) {
-            return a.at != b.at ? a.at < b.at : a.handle < b.handle;
-          });
-      const double at = earliest->at;
-      ASSERT_TRUE(q.cancel(earliest->handle));
-      model.erase(earliest);
-      // ...and reschedule the same deadline, earning a fresh (later) seq
-      model.push_back({q.push(at, next_payload), at, next_payload});
-      ++next_payload;
-      EXPECT_EQ(q.size(), model.size());
-    }
-    std::sort(model.begin(), model.end(), [](const Live& a, const Live& b) {
-      return a.at != b.at ? a.at < b.at : a.handle < b.handle;
-    });
-    for (const Live& expect : model) {
-      ASSERT_FALSE(q.empty()) << "seed " << seed;
-      const auto e = q.pop();
-      EXPECT_EQ(e.at, expect.at) << "seed " << seed;
-      EXPECT_EQ(e.seq, expect.handle) << "seed " << seed;
-      EXPECT_EQ(e.payload, expect.payload) << "seed " << seed;
-    }
-    EXPECT_TRUE(q.empty()) << "seed " << seed;
-    EXPECT_GE(q.profile().cancels, 200u);
-  }
-}
-
-TEST(SchedulerPropertyTest, CancelDuringDrainAdversarial) {
-  // cancellation interleaved with the drain itself: after every pop,
-  // cancel a seeded pick of the remaining entries — including, often, the
-  // exact next-to-pop — and check the drain never surfaces a cancelled
-  // entry and never misses a live one.
-  for (std::uint64_t seed = 1000; seed <= 1030; ++seed) {
-    TimedQueue<int> q;
-    Rng rng(seed);
-    struct Live {
-      std::uint64_t handle;
-      double at;
-    };
-    std::vector<Live> model;
-    for (int i = 0; i < 256; ++i) {
-      const double at = static_cast<double>(rng.uniform(16));
-      model.push_back({q.push(at, i), at});
-    }
-    auto model_order = [](const Live& a, const Live& b) {
-      return a.at != b.at ? a.at < b.at : a.handle < b.handle;
-    };
-    while (!model.empty()) {
-      // maybe cancel 0-2 live entries first (biased toward the earliest,
-      // so tombstones sit on the heap top the next pop must step over)
-      const std::size_t cancels = rng.uniform(3);
-      for (std::size_t c = 0; c < cancels && !model.empty(); ++c) {
-        const std::size_t pick = rng.uniform01() < 0.5
-                                     ? 0
-                                     : rng.uniform(model.size());
-        std::sort(model.begin(), model.end(), model_order);
-        ASSERT_TRUE(q.cancel(model[pick].handle)) << "seed " << seed;
-        model.erase(model.begin() + pick);
-      }
-      EXPECT_EQ(q.size(), model.size());
-      if (model.empty()) break;
-      std::sort(model.begin(), model.end(), model_order);
-      const auto e = q.pop();
-      EXPECT_EQ(e.at, model.front().at) << "seed " << seed;
-      EXPECT_EQ(e.seq, model.front().handle) << "seed " << seed;
-      model.erase(model.begin());
-    }
-    EXPECT_TRUE(q.empty()) << "seed " << seed;
-  }
-}
-
-TEST(SchedulerPropertyTest, EventLoopCancellableTimers) {
+TEST(SchedulerPropertyTest, EventLoopHeapWorkIsPinned) {
+  // a seeded EventLoop schedule with many equal-time ties, where events
+  // reschedule more events while the loop drains: pins the scheduler's
+  // exact work so a heap rewrite must reproduce it, not just its order
   EventLoop loop;
-  int fired = 0;
-  loop.schedule(1.0, [&] { ++fired; });
-  const auto handle = loop.schedule_cancellable(2.0, [&] { fired += 100; });
-  loop.schedule(3.0, [&] { ++fired; });
-  EXPECT_TRUE(loop.cancel(handle));
-  EXPECT_FALSE(loop.cancel(handle));
+  Rng rng(2017);
+  std::size_t fired = 0;
+  std::function<void(int)> fire = [&](int depth) {
+    ++fired;
+    if (depth < 3)
+      for (std::uint64_t k = rng.uniform(3); k > 0; --k)
+        loop.schedule(static_cast<double>(rng.uniform(4)),
+                      [&fire, depth] { fire(depth + 1); });
+  };
+  for (int i = 0; i < 400; ++i)
+    loop.schedule(static_cast<double>(rng.uniform(16)), [&fire] { fire(0); });
   loop.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_GE(loop.scheduler_profile().pushes, 3u);
-  EXPECT_EQ(loop.scheduler_profile().cancels, 1u);
+  const TimedQueueProfile& p = loop.scheduler_profile();
+  EXPECT_EQ(fired, 1611u);
+  EXPECT_EQ(p.pushes, 1611u);
+  EXPECT_EQ(p.pops, 1611u);
+  EXPECT_EQ(p.sift_steps, 6013u);
+  EXPECT_EQ(p.max_size, 400u);
+  EXPECT_EQ(p.cancels, 0u);
 }
 
 TEST(SchedulerPropertyTest, EventLoopTiesFireInScheduleOrder) {

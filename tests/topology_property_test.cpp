@@ -270,12 +270,6 @@ TEST(GeoPropertyTest, ChaosParamsValidateCoversTopologyAndGeo) {
   chaos.scenario.geo = GeoParams::internet();
   chaos.scenario.geo.enabled = true;
   ASSERT_NO_THROW(chaos.validate());
-  chaos.scenario.num_shards = 0;
-  expect_invalid("num_shards", [&] { chaos.validate(); });
-  chaos.scenario.num_shards = 21;  // > the default 20 nodes
-  expect_invalid("num_shards", [&] { chaos.validate(); });
-  chaos.scenario.num_shards = 4;
-  ASSERT_NO_THROW(chaos.validate());
 }
 
 TEST(GeoPropertyTest, ScaleParamsValidateNamesOffendingField) {
