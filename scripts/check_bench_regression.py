@@ -21,6 +21,12 @@ Checks, in order of robustness:
     (checks_passed / checks_total / all_passed); a perf run that breaks the
     physics fails here even if it got faster.
 
+Before any of these, each record's "build_type" (the CMake build type the
+bench was compiled under) must match its baseline's: -O2 and -O3 builds
+differ by several times on some kernels, so a cross-build comparison
+measures the flags, not the code. Records written before the field existed
+are compared as before, with a note.
+
 Exit status: 0 = all good, 1 = regression or missing data.
 """
 
@@ -70,6 +76,20 @@ def load(directory: pathlib.Path, name: str):
         return None
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def check_build_type(current: dict, baseline: dict, name: str) -> bool:
+    cur, base = current.get("build_type"), baseline.get("build_type")
+    if cur is None or base is None:
+        print(f"note  {name}: build_type not recorded (current {cur!r}, "
+              f"baseline {base!r}); comparing anyway")
+        return True
+    if cur != base:
+        print(f"FAIL  {name}: build_type {cur!r} vs baseline {base!r} — "
+              f"timings from different build types are not comparable")
+        return False
+    print(f"ok    {name}: build_type {cur}")
+    return True
 
 
 def check_speedup_floors(current: dict) -> bool:
@@ -169,6 +189,7 @@ def main() -> int:
         if cur is None or base is None:
             ok = False
             continue
+        ok &= check_build_type(cur, base, name)
         records[name] = (cur, base)
 
     micro = records.get("BENCH_micro_primitives.json")

@@ -81,6 +81,23 @@ class TimingTest(unittest.TestCase):
         self.assertFalse(checker.check_timings(cur, micro_record(), 0.25))
 
 
+class BuildTypeTest(unittest.TestCase):
+    def test_matching_build_types_pass(self):
+        rec = {"build_type": "Release"}
+        self.assertTrue(checker.check_build_type(rec, dict(rec), "r"))
+
+    def test_differing_build_types_fail(self):
+        self.assertFalse(checker.check_build_type(
+            {"build_type": "RelWithDebInfo"}, {"build_type": "Release"}, "r"))
+
+    def test_unrecorded_build_type_passes_with_note(self):
+        # records from before the field existed keep today's behaviour
+        stamped, bare = {"build_type": "Release"}, {}
+        self.assertTrue(checker.check_build_type(stamped, bare, "r"))
+        self.assertTrue(checker.check_build_type(bare, stamped, "r"))
+        self.assertTrue(checker.check_build_type(bare, bare, "r"))
+
+
 class CorrectnessTest(unittest.TestCase):
     def record(self, passed, total, all_passed=True):
         return {
@@ -153,6 +170,23 @@ class EndToEndTest(unittest.TestCase):
             self.write_all(cur_dir, base_dir)
             (cur_dir / checker.RECORDS[-1]).unlink()
         self.assertEqual(self.run_main(write), 1)
+
+    def test_build_type_mismatch_exits_nonzero(self):
+        def write(cur_dir, base_dir):
+            self.write_all(cur_dir, base_dir)
+            for directory, build_type in ((cur_dir, "RelWithDebInfo"),
+                                          (base_dir, "Release")):
+                path = directory / "BENCH_micro_primitives.json"
+                rec = json.loads(path.read_text())
+                rec["build_type"] = build_type
+                path.write_text(json.dumps(rec))
+        self.assertEqual(self.run_main(write), 1)
+
+    def test_unstamped_baseline_exits_zero(self):
+        def mutate(name, cur):
+            cur["build_type"] = "Release"
+        self.assertEqual(
+            self.run_main(lambda c, b: self.write_all(c, b, mutate)), 0)
 
     def test_failed_embedded_check_exits_nonzero(self):
         def mutate(name, cur):

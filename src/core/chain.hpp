@@ -85,6 +85,9 @@ class Blockchain {
   // ---- queries ----------------------------------------------------------
   const Block& genesis() const { return *block_by_number(0); }
   const Block& head() const;
+  /// Hashes the chain already holds: no header re-encode or re-hash.
+  const Hash256& head_hash() const noexcept { return head_hash_; }
+  const Hash256& genesis_hash() const { return canonical_.at(0); }
   BlockNumber height() const noexcept;
   U256 head_total_difficulty() const;
   U256 total_difficulty_of(const Hash256& hash) const;

@@ -1,5 +1,6 @@
 #include "crypto/keccak.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace forksim {
@@ -18,46 +19,76 @@ constexpr std::uint64_t kRoundConstants[24] = {
     0x000000000000800aull, 0x800000008000000aull, 0x8000000080008081ull,
     0x8000000000008080ull, 0x0000000080000001ull, 0x8000000080008008ull};
 
-constexpr int kRotations[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55, 20, 3,  10, 43,
-                                25, 39, 41, 45, 15, 21, 8,  18, 2,  61, 56, 14};
+// The rho+pi step as one cycle through the 24 non-origin lanes: step i
+// moves the carried lane into kPiLane[i], rotated left by kRho[i]
+// (lanes indexed x + 5y).
+constexpr int kPiLane[24] = {10, 7,  11, 17, 18, 3, 5,  16, 8,  21, 24, 4,
+                             15, 23, 19, 13, 12, 2, 20, 14, 22, 9,  6,  1};
+constexpr int kRho[24] = {1,  3,  6,  10, 15, 21, 28, 36, 45, 55, 2,  14,
+                          27, 41, 56, 8,  25, 43, 62, 18, 39, 61, 20, 44};
 
+// Only called with 0 < s < 64.
 constexpr std::uint64_t rotl64(std::uint64_t x, int s) noexcept {
-  return s == 0 ? x : (x << s) | (x >> (64 - s));
+  return (x << s) | (x >> (64 - s));
 }
 
-void keccak_f1600(std::uint64_t state[25]) noexcept {
+// Little-endian lane load, independent of host byte order; gcc folds it
+// into one 64-bit load on little-endian targets.
+inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t lane = 0;
+#pragma GCC unroll 8
+  for (int j = 0; j < 8; ++j)
+    lane |= static_cast<std::uint64_t>(p[j]) << (8 * j);
+  return lane;
+}
+
+// Every inner loop has a constant trip count and is unrolled explicitly, so
+// the permutation is straight-line code at -O2 as well as at -O3.
+void keccak_f1600(std::uint64_t a[25]) noexcept {
   for (int round = 0; round < 24; ++round) {
     // theta
-    std::uint64_t c[5];
-    for (int x = 0; x < 5; ++x)
-      c[x] = state[x] ^ state[x + 5] ^ state[x + 10] ^ state[x + 15] ^
-             state[x + 20];
-    std::uint64_t d[5];
-    for (int x = 0; x < 5; ++x)
-      d[x] = c[(x + 4) % 5] ^ rotl64(c[(x + 1) % 5], 1);
-    for (int x = 0; x < 5; ++x)
-      for (int y = 0; y < 5; ++y) state[x + 5 * y] ^= d[x];
+    const std::uint64_t c0 = a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20];
+    const std::uint64_t c1 = a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21];
+    const std::uint64_t c2 = a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22];
+    const std::uint64_t c3 = a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23];
+    const std::uint64_t c4 = a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24];
+    const std::uint64_t d0 = c4 ^ rotl64(c1, 1);
+    const std::uint64_t d1 = c0 ^ rotl64(c2, 1);
+    const std::uint64_t d2 = c1 ^ rotl64(c3, 1);
+    const std::uint64_t d3 = c2 ^ rotl64(c4, 1);
+    const std::uint64_t d4 = c3 ^ rotl64(c0, 1);
+#pragma GCC unroll 5
+    for (int y = 0; y < 25; y += 5) {
+      a[y] ^= d0;
+      a[y + 1] ^= d1;
+      a[y + 2] ^= d2;
+      a[y + 3] ^= d3;
+      a[y + 4] ^= d4;
+    }
 
-    // rho + pi
-    std::uint64_t b[25];
-    for (int x = 0; x < 5; ++x) {
-      for (int y = 0; y < 5; ++y) {
-        const int from = x + 5 * y;
-        const int to = y + 5 * ((2 * x + 3 * y) % 5);
-        b[to] = rotl64(state[from], kRotations[from]);
-      }
+    // rho + pi, in place with one carried lane
+    std::uint64_t carried = a[1];
+#pragma GCC unroll 24
+    for (int i = 0; i < 24; ++i) {
+      const std::uint64_t next = a[kPiLane[i]];
+      a[kPiLane[i]] = rotl64(carried, kRho[i]);
+      carried = next;
     }
 
     // chi
-    for (int y = 0; y < 5; ++y) {
-      for (int x = 0; x < 5; ++x) {
-        state[x + 5 * y] =
-            b[x + 5 * y] ^ ((~b[(x + 1) % 5 + 5 * y]) & b[(x + 2) % 5 + 5 * y]);
-      }
+#pragma GCC unroll 5
+    for (int y = 0; y < 25; y += 5) {
+      const std::uint64_t b0 = a[y], b1 = a[y + 1], b2 = a[y + 2],
+                          b3 = a[y + 3], b4 = a[y + 4];
+      a[y] = b0 ^ (~b1 & b2);
+      a[y + 1] = b1 ^ (~b2 & b3);
+      a[y + 2] = b2 ^ (~b3 & b4);
+      a[y + 3] = b3 ^ (~b4 & b0);
+      a[y + 4] = b4 ^ (~b0 & b1);
     }
 
     // iota
-    state[0] ^= kRoundConstants[round];
+    a[0] ^= kRoundConstants[round];
   }
 }
 
@@ -72,23 +103,32 @@ void Keccak256::reset() noexcept {
   finalized_ = false;
 }
 
-void Keccak256::absorb_block() noexcept {
-  for (std::size_t i = 0; i < kRate / 8; ++i) {
-    std::uint64_t lane = 0;
-    // little-endian lane loading
-    for (std::size_t j = 0; j < 8; ++j)
-      lane |= static_cast<std::uint64_t>(buffer_[i * 8 + j]) << (8 * j);
-    state_[i] ^= lane;
-  }
+void Keccak256::absorb_block(const std::uint8_t* block) noexcept {
+#pragma GCC unroll 17
+  for (std::size_t i = 0; i < kRate / 8; ++i)
+    state_[i] ^= load_le64(block + 8 * i);
   keccak_f1600(state_);
-  buffered_ = 0;
 }
 
 void Keccak256::update(BytesView data) noexcept {
-  for (std::uint8_t byte : data) {
-    buffer_[buffered_++] = byte;
-    if (buffered_ == kRate) absorb_block();
+  if (data.empty()) return;
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(left, kRate - buffered_);
+    std::memcpy(buffer_ + buffered_, in, take);
+    buffered_ += take;
+    in += take;
+    left -= take;
+    if (buffered_ < kRate) return;
+    absorb_block(buffer_);
+    buffered_ = 0;
   }
+  // Whole blocks are absorbed straight from the input; only the tail is
+  // buffered.
+  for (; left >= kRate; in += kRate, left -= kRate) absorb_block(in);
+  std::memcpy(buffer_, in, left);
+  buffered_ = left;
 }
 
 void Keccak256::update(std::string_view data) noexcept {
@@ -102,8 +142,8 @@ Hash256 Keccak256::digest() noexcept {
     std::memset(buffer_ + buffered_, 0, kRate - buffered_);
     buffer_[buffered_] = 0x01;
     buffer_[kRate - 1] |= 0x80;
-    buffered_ = kRate;
-    absorb_block();
+    absorb_block(buffer_);
+    buffered_ = 0;
     finalized_ = true;
   }
   Hash256 out;

@@ -28,7 +28,8 @@ class Keccak256 {
   void reset() noexcept;
 
  private:
-  void absorb_block() noexcept;
+  /// XORs one rate-sized block into the state and permutes.
+  void absorb_block(const std::uint8_t* block) noexcept;
 
   std::uint64_t state_[25];
   std::uint8_t buffer_[136];

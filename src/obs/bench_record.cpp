@@ -52,7 +52,9 @@ std::string BenchRecord::to_json() const {
   std::ostringstream os;
   os << "{\"name\":";
   json_string(os, name_);
-  os << ",\"schema\":\"forksim/bench/v1\",";
+  os << ",\"schema\":\"forksim/bench/v1\",\"build_type\":";
+  json_string(os, FORKSIM_BUILD_TYPE);
+  os << ',';
   auto emit = [&](const char* section, const std::vector<Field>& fields) {
     os << '"' << section << "\":{";
     for (std::size_t i = 0; i < fields.size(); ++i) {

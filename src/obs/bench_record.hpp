@@ -1,8 +1,10 @@
 // BENCH_<name>.json emission: every bench binary builds one BenchRecord,
 // fills in throughput numbers and a telemetry snapshot, and writes it to
 // $FORKSIM_BENCH_DIR (or the working directory). The format is flat on
-// purpose — {"name":..., "metrics":{...}, "params":{...}, "telemetry":{...}}
-// — so CI can diff runs with nothing fancier than jq.
+// purpose — {"name":..., "build_type":..., "metrics":{...}, "params":{...},
+// "telemetry":{...}} — so CI can diff runs with nothing fancier than jq.
+// "build_type" is the CMake build type the binary was compiled under, so
+// timings from differently optimized builds are never compared.
 #pragma once
 
 #include <chrono>

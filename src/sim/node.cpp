@@ -442,8 +442,8 @@ Status FullNode::make_status() const {
   Status s;
   s.network_id = chain_.config().chain_id;
   s.total_difficulty = chain_.head_total_difficulty();
-  s.head_hash = chain_.head().hash();
-  s.genesis_hash = chain_.genesis().hash();
+  s.head_hash = chain_.head_hash();
+  s.genesis_hash = chain_.genesis_hash();
   s.head_number = chain_.height();
   return s;
 }

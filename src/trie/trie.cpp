@@ -472,7 +472,8 @@ rlp::Item encode_item(const Node& node) {
 }  // namespace
 
 Hash256 empty_trie_root() {
-  return keccak256(rlp::encode_bytes(BytesView{}));
+  static const Hash256 kRoot = keccak256(rlp::encode_bytes(BytesView{}));
+  return kRoot;
 }
 
 Hash256 Trie::root_hash() const {

@@ -237,9 +237,10 @@ class AdversaryConvergenceTest : public ::testing::Test {
     // defenses never friendly-fire: no honest node banned another
     for (std::size_t i = 0; i < kHonest; ++i)
       for (std::size_t j = 0; j < kHonest; ++j)
-        if (i != j)
+        if (i != j) {
           EXPECT_FALSE(nodes_[i]->peers().ever_banned(nodes_[j]->id()))
               << "honest " << i << " banned honest " << j;
+        }
     // and every attacker got itself banned by at least one victim
     for (std::size_t a = 0; a < kAttackers; ++a) {
       bool banned = false;

@@ -2,6 +2,8 @@
 // reorgs, the DAO fork-block partition rule, and the transaction pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/chain.hpp"
 #include "core/txpool.hpp"
 
@@ -155,6 +157,36 @@ TEST_F(ChainTest, TransientForkResolvesByExtension) {
   EXPECT_EQ(chain_.head().hash(), b2.hash());
   EXPECT_TRUE(chain_.is_canonical(b.hash()));
   EXPECT_FALSE(chain_.is_canonical(a.hash()));
+}
+
+TEST_F(ChainTest, HeldHashesMatchRecomputedHashes) {
+  // head_hash()/genesis_hash() read what the chain holds; they must agree
+  // with re-hashing the headers through linear growth and a reorg.
+  const Hash256 genesis = chain_.genesis().hash();
+  EXPECT_EQ(chain_.head_hash(), chain_.head().hash());
+  EXPECT_EQ(chain_.genesis_hash(), genesis);
+
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(chain_.import(mine(chain_, kMinerA, 14)).result,
+              ImportResult::kImported);
+    EXPECT_EQ(chain_.head_hash(), chain_.head().hash());
+  }
+
+  // a faster, heavier branch from genesis overtakes the three-block chain
+  Blockchain rival(ChainConfig::mainnet_pre_fork(), executor_,
+                   default_alloc());
+  std::vector<Block> branch;
+  for (int i = 0; i < 4; ++i) {
+    branch.push_back(mine(rival, kMinerB, 5));
+    ASSERT_EQ(rival.import(branch.back()).result, ImportResult::kImported);
+  }
+  std::size_t reorg_depth = 0;
+  for (const Block& b : branch)
+    reorg_depth = std::max(reorg_depth, chain_.import(b).reorg_depth);
+  ASSERT_GT(reorg_depth, 0u);
+  EXPECT_EQ(chain_.head_hash(), branch.back().hash());
+  EXPECT_EQ(chain_.head_hash(), chain_.head().hash());
+  EXPECT_EQ(chain_.genesis_hash(), genesis);
 }
 
 TEST_F(ChainTest, ReorgRevertsStateToWinningBranch) {

@@ -2,6 +2,9 @@
 // scheme's recovery and domain-separation properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "crypto/ecdsa.hpp"
 #include "crypto/keccak.hpp"
 
@@ -42,6 +45,47 @@ TEST(KeccakTest, ExactRateBlock) {
   Bytes input(136, 0x00);
   // must not crash / must differ from empty hash
   EXPECT_NE(keccak256(input), keccak256(BytesView{}));
+}
+
+// Known answers from `openssl dgst -keccak-256`, at and around the one- and
+// two-block rate boundaries where padding spills into an extra block.
+TEST(KeccakTest, RateBoundaryVectors) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {135, "34367dc248bbd832f4e3e69dfaac2f92638bd0bbd18f2912ba4ef454919cf446"},
+      {136, "a6c4d403279fe3e0af03729caada8374b5ca54d8065329a3ebcaeb4b60aa386e"},
+      {137, "d869f639c7046b4929fc92a4d988a8b22c55fbadb802c0c66ebcd484f1915f39"},
+      {272, "cf7fcd4f705ee749930d19ca84561a9bf62516bd90a471545fa2f49fdc7e63c8"},
+      {273, "5a7b8187d2778e614097fac3097573de1fee4d972304d3360796a857029bb176"},
+  };
+  for (const auto& [len, expected] : cases)
+    EXPECT_EQ(keccak256(Bytes(len, 'a')).hex(), expected) << len << " x 'a'";
+}
+
+TEST(KeccakTest, MultiBlockPatternVector) {
+  Bytes input(1000);
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  EXPECT_EQ(keccak256(input).hex(),
+            "80cdc8dd52cbb3dbaea8f383209893fa2bb52efbd5aedbb4b26dcfe307fcdc9b");
+}
+
+TEST(KeccakTest, ChunkedStreamingMatchesOneShot) {
+  // Every length through three blocks plus one, fed in chunks that land
+  // short of, on, and past the 136-byte rate, so each update() meets a
+  // partial head, whole blocks and a buffered tail in every alignment.
+  constexpr std::size_t kMaxLen = 3 * 136 + 1;
+  Bytes input(kMaxLen);
+  for (std::size_t i = 0; i < kMaxLen; ++i)
+    input[i] = static_cast<std::uint8_t>(i * 31 + 17);
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    const Hash256 one_shot = keccak256(BytesView(input.data(), len));
+    for (std::size_t chunk : {1, 7, 135, 136, 137}) {
+      Keccak256 h;
+      for (std::size_t at = 0; at < len; at += chunk)
+        h.update(BytesView(input.data() + at, std::min(chunk, len - at)));
+      ASSERT_EQ(h.digest(), one_shot) << "len " << len << " chunk " << chunk;
+    }
+  }
 }
 
 TEST(KeccakTest, IncrementalByteAtATimeMatches) {

@@ -519,8 +519,9 @@ TEST_P(TrieNodeFuzzTest, RandomBytesNeverCrashHexPrefixDecode) {
     const Bytes junk = random_bytes(rng, 40);
     const auto decoded = trie::decode_hex_prefix(junk);
     // when it does decode, the nibble count must match the payload exactly
-    if (decoded.has_value())
+    if (decoded.has_value()) {
       for (const auto n : decoded->first) EXPECT_LT(n, 16u);
+    }
   }
 }
 

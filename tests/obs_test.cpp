@@ -539,5 +539,15 @@ TEST(ObsBenchRecordTest, JsonShapeAndEnvDirRouting) {
   std::remove(path.c_str());
 }
 
+TEST(ObsBenchRecordTest, RecordsCompileTimeBuildType) {
+  // perf gates refuse to compare records from different build types, so
+  // every record must name the one it was compiled under
+  const std::string json = BenchRecord("unit_test").to_json();
+  const std::string key = "\"build_type\":\"";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_NE(json[at + key.size()], '"') << "empty build type: " << json;
+}
+
 }  // namespace
 }  // namespace forksim::obs

@@ -463,6 +463,7 @@ struct PeerHarness {
             [this](const NodeId& id, DisconnectReason r) {
               dropped.emplace_back(id, r);
             },
+            nullptr,  // no clock: the session reads time 0
         });
   }
 };

@@ -95,8 +95,9 @@ TEST(SchedulerPropertyTest, PopsInTimeSeqOrderAcrossRandomInterleavings) {
       // with an earlier deadline — drive() never does that after pops at
       // a later time, so adjacent pops popped together must be ordered.
       // What must hold unconditionally: equal times pop in push order.
-      if (pops[i].at == pops[i + 1].at)
+      if (pops[i].at == pops[i + 1].at) {
         EXPECT_LT(pops[i].seq, pops[i + 1].seq) << "seed " << seed;
+      }
     }
   }
 }

@@ -192,8 +192,9 @@ TEST_P(StateJournalDifferentialTest, MatchesWholeCopyReference) {
         break;
       }
     }
-    if (op % 250 == 0)
+    if (op % 250 == 0) {
       ASSERT_NO_FATAL_FAILURE(expect_equivalent(state, ref, "periodic"));
+    }
   }
 
   // Unwind every remaining scope, outermost last, checking at each step.

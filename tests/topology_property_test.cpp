@@ -68,7 +68,9 @@ TEST(TopologyPropertyTest, TwoThousandDrawsConnectedCappedReproducible) {
       const auto nb = t.neighbors_of(i);
       for (std::size_t k = 0; k < nb.size(); ++k) {
         EXPECT_NE(nb[k], i);
-        if (k > 0) EXPECT_LT(nb[k - 1], nb[k]);
+        if (k > 0) {
+          EXPECT_LT(nb[k - 1], nb[k]);
+        }
       }
     }
 
