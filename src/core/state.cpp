@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "rlp/rlp.hpp"
 
 namespace forksim::core {
@@ -16,31 +15,6 @@ const EngineCounters& engine_counters() noexcept { return g_engine_counters; }
 void reset_engine_counters() noexcept { g_engine_counters = EngineCounters{}; }
 
 EngineCounters& engine_counters_mut() noexcept { return g_engine_counters; }
-
-void attach_engine_telemetry(obs::Registry& reg) {
-  // Delta-based, like trie::attach_telemetry: the globals span the process,
-  // a registry should only see its own run's work.
-  const EngineCounters base = g_engine_counters;
-  reg.add_collector([base](obs::Registry& r) {
-    const EngineCounters& c = g_engine_counters;
-    r.counter("state.snapshots").set(c.snapshots - base.snapshots);
-    r.counter("state.reverts").set(c.reverts - base.reverts);
-    r.counter("state.journal_entries")
-        .set(c.journal_entries - base.journal_entries);
-    r.counter("state.journal_entries_unwound")
-        .set(c.journal_entries_unwound - base.journal_entries_unwound);
-    // depth is a high-water mark, not a monotone tally: report it raw
-    r.counter("state.journal_max_depth").set(c.journal_max_depth);
-    r.counter("state.root_commits.full")
-        .set(c.root_commits_full - base.root_commits_full);
-    r.counter("state.root_commits.incremental")
-        .set(c.root_commits_incremental - base.root_commits_incremental);
-    r.counter("chain.header_cache.hits")
-        .set(c.header_cache_hits - base.header_cache_hits);
-    r.counter("chain.header_cache.misses")
-        .set(c.header_cache_misses - base.header_cache_misses);
-  });
-}
 
 Hash256 empty_code_hash() {
   static const Hash256 kHash = keccak256(BytesView{});

@@ -20,10 +20,6 @@
 #include "crypto/keccak.hpp"
 #include "trie/trie.hpp"
 
-namespace forksim::obs {
-class Registry;
-}
-
 namespace forksim::core {
 
 /// keccak256 of empty code — the code_hash of plain accounts.
@@ -49,12 +45,6 @@ void reset_engine_counters() noexcept;
 /// Mutable access for the engine's own instrumentation sites (state.cpp,
 /// chain.cpp). Not meant for user code.
 EngineCounters& engine_counters_mut() noexcept;
-
-/// Register a snapshot-time collector on `reg` that mirrors the engine
-/// counters (as deltas from the attach point) into state.* / chain.* names.
-/// Deliberately NOT wired into ForkScenario::attach_telemetry: the golden
-/// fingerprints predate the journaled engine and must stay bit-identical.
-void attach_engine_telemetry(obs::Registry& reg);
 
 struct Account {
   std::uint64_t nonce = 0;

@@ -38,17 +38,13 @@ const char* result_slug(PoolAddResult r) {
 }  // namespace
 
 void TxPool::attach_telemetry(obs::Registry& reg) {
-  reg_ = &reg;
   for (std::size_t i = 0; i < tm_results_.size(); ++i) {
     const auto r = static_cast<PoolAddResult>(i);
     tm_results_[i] =
         &reg.counter(std::string("txpool.") + result_slug(r));
   }
   tm_size_ = &reg.gauge("txpool.size");
-  if (evictions_ > 0) {
-    tm_evicted_ = &reg.counter("txpool.evicted");
-    tm_evicted_->inc(evictions_);
-  }
+  reg.bind("txpool.evicted", evictions_, &evictions_);
 }
 
 PoolAddResult TxPool::add(const Transaction& tx, const State& state,
@@ -116,8 +112,6 @@ PoolAddResult TxPool::add_impl(const Transaction& tx, const State& state,
     }
     by_hash_.erase(victim);
     ++evictions_;
-    if (!tm_evicted_ && reg_) tm_evicted_ = &reg_->counter("txpool.evicted");
-    obs::inc(tm_evicted_);
   }
 
   // re-lookup: eviction may have erased this sender's (now-empty) slot map,

@@ -83,7 +83,9 @@ class TxPool {
   std::uint64_t evictions() const noexcept { return evictions_; }
 
   /// Register one txpool.<result> counter per admission outcome plus a
-  /// txpool.size gauge in `reg`. Shared registries aggregate across pools.
+  /// txpool.size gauge in `reg`, and bind evictions() as txpool.evicted
+  /// from its first eviction on (adversary-free runs keep their metric
+  /// set). Shared registries aggregate across pools.
   void attach_telemetry(obs::Registry& reg);
 
  private:
@@ -104,10 +106,6 @@ class TxPool {
   std::uint64_t evictions_ = 0;
   std::array<obs::Counter*, 8> tm_results_{};
   obs::Gauge* tm_size_ = nullptr;
-  /// Lazily registered on the first eviction: adversary-free runs must keep
-  /// the registry's metric set (and thus its fingerprint) unchanged.
-  obs::Counter* tm_evicted_ = nullptr;
-  obs::Registry* reg_ = nullptr;
 };
 
 }  // namespace forksim::core

@@ -135,22 +135,6 @@ Bytes counter_runtime() {
   return a.build();
 }
 
-Bytes forwarder_runtime() {
-  Asm a;
-  // CALL(gas, to=calldata[0], value=callvalue, no data)
-  a.push(std::uint64_t{0});  // out_len
-  a.push(std::uint64_t{0});  // out_off
-  a.push(std::uint64_t{0});  // in_len
-  a.push(std::uint64_t{0});  // in_off
-  a.op(Op::kCallvalue);
-  a.push(std::uint64_t{0}).op(Op::kCalldataload);
-  a.push(std::uint64_t{50000}).op(Op::kGas).op(Op::kSub);
-  a.op(Op::kCall).op(Op::kPop);
-  a.op(Op::kStop);
-  return a.build();
-}
-
-
 Bytes mini_dao_runtime() {
   constexpr Op kDup1 = Op::kDup1;
   constexpr auto kDup5 = static_cast<Op>(0x84);

@@ -45,10 +45,6 @@ Bytes reentrancy_attacker_runtime(std::uint64_t max_rounds,
 /// fraction).
 Bytes counter_runtime();
 
-/// A value-forwarding splitter: forwards callvalue to the address in
-/// calldata word 0. Exercises nested calls in workloads.
-Bytes forwarder_runtime();
-
 // ---- the mini-DAO: a crowdfunding contract with voting -------------------
 //
 // The real DAO was "a decentralized crowdfunding platform... any user could

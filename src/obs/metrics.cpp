@@ -222,9 +222,46 @@ Histogram& Registry::histogram(const std::string& name,
       .first->second;
 }
 
+namespace {
+
+/// Sum of the bound fields, and whether any binding shows the name.
+template <typename Bindings>
+std::pair<bool, std::uint64_t> read_bound(const Bindings& bindings) {
+  bool shown = false;
+  std::uint64_t sum = 0;
+  for (const auto& b : bindings) {
+    sum += *b.field;
+    shown = shown || b.gate == nullptr || *b.gate != 0;
+  }
+  return {shown, sum};
+}
+
+}  // namespace
+
 std::uint64_t Registry::counter_value(const std::string& name) const {
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second.value();
+  const bool stored = it != counters_.end();
+  std::uint64_t value = stored ? it->second.value() : 0;
+  auto b = bound_.find(name);
+  if (b != bound_.end()) {
+    const auto [shown, sum] = read_bound(b->second);
+    if (stored || shown) value += sum;
+  }
+  return value;
+}
+
+std::map<std::string, std::uint64_t> Registry::read_counters() const {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, c] : counters_) out.emplace(name, c.value());
+  for (const auto& [name, bindings] : bound_) {
+    const auto [shown, sum] = read_bound(bindings);
+    auto it = out.find(name);
+    if (it != out.end())
+      it->second += sum;
+    else if (shown)
+      out.emplace(name, sum);
+  }
+  return out;
 }
 
 double Registry::gauge_value(const std::string& name) const {
@@ -250,8 +287,8 @@ void Registry::merge(const Snapshot& other) {
 Snapshot Registry::snapshot() {
   for (const auto& fn : collectors_) fn(*this);
   Snapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) snap.counters.emplace_back(name, c.value());
+  const std::map<std::string, std::uint64_t> counters = read_counters();
+  snap.counters.assign(counters.begin(), counters.end());
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) snap.gauges.emplace_back(name, g.value());
   snap.histograms.reserve(histograms_.size());

@@ -6,11 +6,19 @@
 //  * Everything is keyed on names in ordered maps — iteration order (and
 //    therefore snapshots, JSON, and fingerprints) never depends on pointer
 //    values or hashing.
-//  * Instrumented code holds raw `Counter*` / `Gauge*` / `Histogram*`
-//    handles that are null until a registry is attached; the inc()/set()/
-//    observe() free helpers below make the unattached path a single
-//    predictable branch and zero allocations, and no instrumentation ever
-//    consumes an Rng draw — attaching telemetry cannot perturb a seeded run.
+//  * Each event is counted once. A module counts into its own plain
+//    `std::uint64_t` fields, and attaching telemetry binds those fields to
+//    metric names (Registry::bind); the registry reads them at snapshot
+//    time, so there is no second copy to keep in step. A bound name may be
+//    gated: it appears only once its gate field is nonzero, which keeps
+//    the metric set of a run without adversaries, eclipses or restarts
+//    unchanged.
+//  * Metrics with no plain twin — per-result arrays, gauges, histograms —
+//    are held as raw `Counter*` / `Gauge*` / `Histogram*` handles that are
+//    null until a registry is attached; the inc()/set()/observe() helpers
+//    below make the unattached path one predictable branch.
+//  * No instrumentation ever consumes an Rng draw, so attaching telemetry
+//    cannot perturb a seeded run.
 //  * Histograms have fixed bucket upper bounds plus an implicit overflow
 //    bucket, merge by bucket-wise addition, and expose *exact* quantile
 //    semantics: quantile_bounds(p) returns an interval guaranteed to
@@ -146,6 +154,19 @@ class Registry {
   /// Find-or-create; an existing histogram keeps its original bounds.
   Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
+  /// Report the count in `field`, owned by the caller, under counter
+  /// `name`. The registry keeps only the address and reads the field live
+  /// at every snapshot() and counter_value(), so `field` must outlive the
+  /// registry's last read. Several fields may share one name; the name's
+  /// value is its stored Counter plus every field bound to it. With a
+  /// `gate`, the binding alone does not make the name appear: it shows
+  /// once some binding's gate is nonzero (pass `&field` to register a
+  /// counter lazily, on its first event).
+  void bind(const std::string& name, const std::uint64_t& field,
+            const std::uint64_t* gate = nullptr) {
+    bound_[name].push_back({&field, gate});
+  }
+
   /// 0 / 0.0 / nullptr when the metric was never created.
   std::uint64_t counter_value(const std::string& name) const;
   double gauge_value(const std::string& name) const;
@@ -166,12 +187,20 @@ class Registry {
   Snapshot snapshot();
   Hash256 fingerprint() { return snapshot().fingerprint(); }
 
-  std::size_t metric_count() const noexcept {
-    return counters_.size() + gauges_.size() + histograms_.size();
+  std::size_t metric_count() const {
+    return read_counters().size() + gauges_.size() + histograms_.size();
   }
 
  private:
+  struct Binding {
+    const std::uint64_t* field;
+    const std::uint64_t* gate;  // null: always shown
+  };
+  /// Every counter name present right now with its live value.
+  std::map<std::string, std::uint64_t> read_counters() const;
+
   std::map<std::string, Counter> counters_;
+  std::map<std::string, std::vector<Binding>> bound_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::vector<std::function<void(Registry&)>> collectors_;

@@ -61,13 +61,11 @@ void FaultInjector::on_send(Network& network, const NodeId& from,
                             const NodeId& to, Bytes data) {
   if (drop_filter_ && drop_filter_(from, to, data)) {
     ++counters_.dropped_by_filter;
-    obs::inc(tm_dropped_filter_);
     return;
   }
   if (node_cuts_.contains(from) || node_cuts_.contains(to) ||
       link_cuts_.contains(LinkKey{from, to})) {
     ++counters_.dropped_by_cut;
-    obs::inc(tm_dropped_cut_);
     return;
   }
   // per-link override beats geography beats the uniform default; same
@@ -78,31 +76,26 @@ void FaultInjector::on_send(Network& network, const NodeId& from,
   if (it != link_latency_.end()) {
     model = &it->second;
     ++counters_.link_overrides;
-    obs::inc(tm_link_overrides_);
   }
   // the effective model's own loss, then the global extra-loss knob
   if (model->loss > 0.0 && rng_.chance(model->loss)) {
     ++counters_.dropped_by_loss;
-    obs::inc(tm_dropped_loss_);
     return;
   }
   if (extra_loss_ > 0.0 && rng_.chance(extra_loss_)) {
     ++counters_.dropped_by_loss;
-    obs::inc(tm_dropped_loss_);
     return;
   }
   std::uint32_t copies = 1;
   if (duplicate_prob_ > 0.0 && rng_.chance(duplicate_prob_)) {
     ++copies;
     ++counters_.duplicated;
-    obs::inc(tm_duplicated_);
   }
   for (std::uint32_t c = 0; c < copies; ++c) {
     double delay = model->sample(rng_);
     if (reorder_prob_ > 0.0 && rng_.chance(reorder_prob_)) {
       delay += reorder_delay_;
       ++counters_.reordered;
-      obs::inc(tm_reordered_);
     }
     Bytes payload = (c + 1 == copies) ? std::move(data) : data;
     network.deliver_after(delay, from, to, std::move(payload));
@@ -110,19 +103,12 @@ void FaultInjector::on_send(Network& network, const NodeId& from,
 }
 
 void FaultInjector::attach_telemetry(obs::Registry& reg) {
-  tm_dropped_loss_ = &reg.counter("faults.dropped_by_loss");
-  tm_dropped_cut_ = &reg.counter("faults.dropped_by_cut");
-  tm_dropped_filter_ = &reg.counter("faults.dropped_by_filter");
-  tm_duplicated_ = &reg.counter("faults.duplicated");
-  tm_reordered_ = &reg.counter("faults.reordered");
-  tm_link_overrides_ = &reg.counter("faults.link_overrides");
-  // fold in anything counted before attachment
-  tm_dropped_loss_->set(counters_.dropped_by_loss);
-  tm_dropped_cut_->set(counters_.dropped_by_cut);
-  tm_dropped_filter_->set(counters_.dropped_by_filter);
-  tm_duplicated_->set(counters_.duplicated);
-  tm_reordered_->set(counters_.reordered);
-  tm_link_overrides_->set(counters_.link_overrides);
+  reg.bind("faults.dropped_by_loss", counters_.dropped_by_loss);
+  reg.bind("faults.dropped_by_cut", counters_.dropped_by_cut);
+  reg.bind("faults.dropped_by_filter", counters_.dropped_by_filter);
+  reg.bind("faults.duplicated", counters_.duplicated);
+  reg.bind("faults.reordered", counters_.reordered);
+  reg.bind("faults.link_overrides", counters_.link_overrides);
 }
 
 void ChurnSchedule::add(double at, std::size_t node_index, bool up) {

@@ -101,7 +101,7 @@ class FaultInjector {
 
   const FaultCounters& counters() const noexcept { return counters_; }
 
-  /// Register faults.* counters in `reg`; they mirror counters() live.
+  /// Bind counters() into `reg` as faults.* metrics.
   void attach_telemetry(obs::Registry& reg);
 
   /// Called by Network::send for every message while attached.
@@ -120,12 +120,6 @@ class FaultInjector {
   double reorder_delay_ = 0.5;
   DropFilter drop_filter_;
   FaultCounters counters_;
-  obs::Counter* tm_dropped_loss_ = nullptr;
-  obs::Counter* tm_dropped_cut_ = nullptr;
-  obs::Counter* tm_dropped_filter_ = nullptr;
-  obs::Counter* tm_duplicated_ = nullptr;
-  obs::Counter* tm_reordered_ = nullptr;
-  obs::Counter* tm_link_overrides_ = nullptr;
 };
 
 /// One scheduled crash (`up == false`) or restart (`up == true`).

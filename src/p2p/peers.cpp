@@ -101,10 +101,7 @@ void PeerSet::drop(const NodeId& id, DisconnectReason reason,
   if (it == sessions_.end()) return;
   if (notify_remote) cb_.send(id, Message{Disconnect{reason}});
   sessions_.erase(it);
-  if (reason == DisconnectReason::kWrongFork) {
-    ++wrong_fork_drops_;
-    obs::inc(tm_wrong_fork_);
-  }
+  if (reason == DisconnectReason::kWrongFork) ++wrong_fork_drops_;
   if (cb_.on_drop) cb_.on_drop(id, reason);
 }
 
@@ -130,9 +127,6 @@ void PeerSet::on_status(const NodeId& from, const Status& status) {
   if (inbound) {
     if (inbound_over_caps(from)) {
       ++inbound_rejections_;
-      if (!tm_inbound_rej_ && reg_)
-        tm_inbound_rej_ = &reg_->counter("peers.inbound_rejections");
-      obs::inc(tm_inbound_rej_);
       cb_.send(from, Message{Disconnect{DisconnectReason::kTooManyPeers}});
       return;
     }
@@ -196,7 +190,6 @@ std::size_t PeerSet::reap_stalled(std::uint32_t max_ticks) {
     if (++session.stalled_ticks > max_ticks) dead.push_back(id);
   }
   liveness_drops_ += liveness_dead;
-  obs::inc(tm_liveness_, liveness_dead);
   for (const NodeId& id : dead)
     drop(id, DisconnectReason::kUselessPeer, /*notify_remote=*/true);
   // lapsed bans come off the list so the dialer can try those peers again
@@ -223,8 +216,6 @@ void PeerSet::note_garbage(const NodeId& id) { penalize(id, 3); }
 
 void PeerSet::note_spam(const NodeId& id) {
   ++spam_penalties_;
-  if (!tm_spam_ && reg_) tm_spam_ = &reg_->counter("peers.spam_penalties");
-  obs::inc(tm_spam_);
   penalize(id, 1);
 }
 
@@ -236,7 +227,6 @@ void PeerSet::penalize(const NodeId& id, int amount) {
   banned_[id] = now() + policy_.ban_seconds;
   ban_history_.insert(id);
   ++bans_;
-  obs::inc(tm_bans_);
   drop(id, DisconnectReason::kUselessPeer, /*notify_remote=*/true);
 }
 
@@ -294,23 +284,12 @@ bool PeerSet::handle(const NodeId& from, const Message& msg) {
 }
 
 void PeerSet::attach_telemetry(obs::Registry& reg) {
-  reg_ = &reg;
-  tm_wrong_fork_ = &reg.counter("peers.wrong_fork_drops");
-  tm_bans_ = &reg.counter("peers.bans");
-  tm_liveness_ = &reg.counter("peers.liveness_drops");
-  tm_wrong_fork_->inc(wrong_fork_drops_);
-  tm_bans_->inc(bans_);
-  tm_liveness_->inc(liveness_drops_);
-  // spam_penalties stays lazily registered: adversary-free runs must keep
-  // the registry's metric set (and thus its fingerprint) unchanged.
-  if (spam_penalties_ > 0) {
-    tm_spam_ = &reg.counter("peers.spam_penalties");
-    tm_spam_->inc(spam_penalties_);
-  }
-  if (inbound_rejections_ > 0) {
-    tm_inbound_rej_ = &reg.counter("peers.inbound_rejections");
-    tm_inbound_rej_->inc(inbound_rejections_);
-  }
+  reg.bind("peers.wrong_fork_drops", wrong_fork_drops_);
+  reg.bind("peers.bans", bans_);
+  reg.bind("peers.liveness_drops", liveness_drops_);
+  reg.bind("peers.spam_penalties", spam_penalties_, &spam_penalties_);
+  reg.bind("peers.inbound_rejections", inbound_rejections_,
+           &inbound_rejections_);
 }
 
 }  // namespace forksim::p2p

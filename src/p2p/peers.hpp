@@ -220,9 +220,12 @@ class PeerSet {
   /// whole set, handshaking sybils included).
   std::vector<NodeId> session_ids() const;
 
-  /// Register peers.* counters in `reg`. Multiple PeerSets (one per node)
-  /// may attach to the same registry; the named counters then aggregate
-  /// across the whole population.
+  /// Bind the counts above into `reg` as peers.* counters. Multiple
+  /// PeerSets (one per node) may attach to the same registry; the named
+  /// counters then aggregate across the whole population. The spam and
+  /// inbound-rejection counters appear only from their first event, so
+  /// runs without adversaries or eclipse defenses keep their metric set
+  /// (golden fingerprints hash every registered name).
   void attach_telemetry(obs::Registry& reg);
 
  private:
@@ -249,17 +252,6 @@ class PeerSet {
   std::uint64_t liveness_drops_ = 0;
   std::uint64_t spam_penalties_ = 0;
   std::uint64_t inbound_rejections_ = 0;
-  obs::Counter* tm_wrong_fork_ = nullptr;
-  obs::Counter* tm_bans_ = nullptr;
-  obs::Counter* tm_liveness_ = nullptr;
-  /// Created lazily on the first spam event so registries in runs without
-  /// adversaries keep exactly the pre-existing metric set (golden
-  /// fingerprints hash every registered name).
-  obs::Counter* tm_spam_ = nullptr;
-  /// Lazily registered for the same reason: only eclipse-defended runs
-  /// ever bounce an inbound handshake.
-  obs::Counter* tm_inbound_rej_ = nullptr;
-  obs::Registry* reg_ = nullptr;
 };
 
 }  // namespace forksim::p2p

@@ -69,8 +69,6 @@ void Network::detach(const NodeId& id) { handlers_.erase(id); }
 void Network::send(const NodeId& from, const NodeId& to, Bytes data) {
   ++messages_sent_;
   bytes_sent_ += data.size();
-  obs::inc(tm_sent_);
-  obs::inc(tm_bytes_, data.size());
   if (faults_ != nullptr) {
     faults_->on_send(*this, from, to, std::move(data));
     return;
@@ -114,7 +112,6 @@ void Network::deliver_slot(std::uint32_t slot) {
     obs::inc(tm_dropped_detached_);
   } else {
     ++messages_delivered_;
-    obs::inc(tm_delivered_);
     it->second(from, data);
   }
   // hand the buffer (and its capacity) back to the slot for reuse
@@ -131,15 +128,9 @@ void Network::deliver_after(double delay, const NodeId& from, const NodeId& to,
 }
 
 void Network::attach_telemetry(obs::Registry& reg) {
-  tm_sent_ = &reg.counter("net.messages_sent");
-  tm_delivered_ = &reg.counter("net.messages_delivered");
-  tm_bytes_ = &reg.counter("net.bytes_sent");
-  // catch up on traffic sent before attachment (nodes dial their
-  // bootstrap peers at construction time) so the registry mirrors the
-  // lifetime accessors exactly
-  tm_sent_->inc(messages_sent_);
-  tm_delivered_->inc(messages_delivered_);
-  tm_bytes_->inc(bytes_sent_);
+  reg.bind("net.messages_sent", messages_sent_);
+  reg.bind("net.messages_delivered", messages_delivered_);
+  reg.bind("net.bytes_sent", bytes_sent_);
   tm_dropped_loss_ = &reg.counter("net.dropped_loss");
   tm_dropped_detached_ = &reg.counter("net.dropped_detached");
   tm_delay_ = &reg.histogram(

@@ -140,9 +140,10 @@ class Network {
   /// In-flight slot pool high-water mark (capacity actually retained).
   std::size_t message_pool_size() const noexcept { return pool_.size(); }
 
-  /// Register net.* metrics in `reg` and start feeding them. Without a
-  /// registry the hot path pays one null check per metric and consumes no
-  /// extra Rng draws, so attaching telemetry never perturbs a seeded run.
+  /// Register net.* metrics in `reg`: the lifetime counts above are bound
+  /// as they are, the drop counters and the delay histogram are fed from
+  /// here on. Never consumes Rng draws, so attaching telemetry never
+  /// perturbs a seeded run.
   void attach_telemetry(obs::Registry& reg);
 
  private:
@@ -170,9 +171,6 @@ class Network {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  obs::Counter* tm_sent_ = nullptr;
-  obs::Counter* tm_delivered_ = nullptr;
-  obs::Counter* tm_bytes_ = nullptr;
   obs::Counter* tm_dropped_loss_ = nullptr;
   obs::Counter* tm_dropped_detached_ = nullptr;
   obs::Histogram* tm_delay_ = nullptr;

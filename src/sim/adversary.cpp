@@ -28,16 +28,11 @@ Adversary::Adversary(FullNode& host, AdversaryOptions options, Rng rng)
 }
 
 void Adversary::attach_telemetry(obs::Registry& reg) {
-  tm_rounds_ = &reg.counter("adversary.rounds");
-  tm_forged_ = &reg.counter("adversary.blocks_forged");
-  tm_phantoms_ = &reg.counter("adversary.phantom_announcements");
-  tm_spam_ = &reg.counter("adversary.txs_spammed");
-  tm_equivocations_ = &reg.counter("adversary.equivocations");
-  tm_rounds_->inc(counters_.rounds);
-  tm_forged_->inc(counters_.blocks_forged);
-  tm_phantoms_->inc(counters_.phantom_announcements);
-  tm_spam_->inc(counters_.txs_spammed);
-  tm_equivocations_->inc(counters_.equivocations);
+  reg.bind("adversary.rounds", counters_.rounds);
+  reg.bind("adversary.blocks_forged", counters_.blocks_forged);
+  reg.bind("adversary.phantom_announcements", counters_.phantom_announcements);
+  reg.bind("adversary.txs_spammed", counters_.txs_spammed);
+  reg.bind("adversary.equivocations", counters_.equivocations);
 }
 
 void Adversary::start() {
@@ -62,7 +57,6 @@ void Adversary::schedule_next() {
 void Adversary::tick() {
   if (host_.running()) {
     ++counters_.rounds;
-    obs::inc(tm_rounds_);
     switch (options_.kind) {
       case AdversaryKind::kInvalidForger: run_forger(); break;
       case AdversaryKind::kWithholder: run_withholder(); break;
@@ -139,7 +133,6 @@ void Adversary::run_forger() {
   if (t.empty()) return;
   const core::Block block = forge_block();
   ++counters_.blocks_forged;
-  obs::inc(tm_forged_);
   const U256 td =
       host_.chain().total_difficulty_of(block.header.parent_hash) +
       block.header.difficulty;
@@ -172,7 +165,6 @@ void Adversary::run_withholder() {
     ann.hashes.push_back(k.digest());
   }
   counters_.phantom_announcements += ann.hashes.size();
-  obs::inc(tm_phantoms_, ann.hashes.size());
   for (const NodeId& peer : t) send_raw(peer, Message{ann});
 }
 
@@ -204,7 +196,6 @@ void Adversary::run_spammer() {
   }
   last_fillers_ = std::move(fillers);
   counters_.txs_spammed += batch.transactions.size();
-  obs::inc(tm_spam_, batch.transactions.size());
   for (const NodeId& peer : t) send_raw(peer, Message{batch});
 }
 
@@ -224,7 +215,6 @@ void Adversary::run_equivocator() {
     core::Block clone = head;
     clone.header.nonce = rng_.next();
     ++counters_.equivocations;
-    obs::inc(tm_equivocations_);
     // disjoint halves of the peer set get alternating clones
     for (std::size_t i = 0; i < t.size(); ++i)
       if (i % 2 == k % 2) send_raw(t[i], Message{NewBlock{clone, td}});
@@ -265,16 +255,11 @@ EclipseAdversary::EclipseAdversary(FullNode& host, EclipseOptions options)
 EclipseAdversary::~EclipseAdversary() { stop(); }
 
 void EclipseAdversary::attach_telemetry(obs::Registry& reg) {
-  tm_rounds_ = &reg.counter("adversary.eclipse.rounds");
-  tm_table_floods_ = &reg.counter("adversary.eclipse.table_floods");
-  tm_status_floods_ = &reg.counter("adversary.eclipse.status_floods");
-  tm_lookups_ = &reg.counter("adversary.eclipse.lookups_answered");
-  tm_withheld_ = &reg.counter("adversary.eclipse.withheld_requests");
-  tm_rounds_->inc(counters_.rounds);
-  tm_table_floods_->inc(counters_.table_floods);
-  tm_status_floods_->inc(counters_.status_floods);
-  tm_lookups_->inc(counters_.lookups_answered);
-  tm_withheld_->inc(counters_.withheld_requests);
+  reg.bind("adversary.eclipse.rounds", counters_.rounds);
+  reg.bind("adversary.eclipse.table_floods", counters_.table_floods);
+  reg.bind("adversary.eclipse.status_floods", counters_.status_floods);
+  reg.bind("adversary.eclipse.lookups_answered", counters_.lookups_answered);
+  reg.bind("adversary.eclipse.withheld_requests", counters_.withheld_requests);
 }
 
 void EclipseAdversary::start() {
@@ -356,7 +341,6 @@ void EclipseAdversary::on_sybil_message(std::size_t index, const NodeId& from,
           send_from(sybil, from, Message{Pong{}});
         } else if constexpr (std::is_same_v<T, FindNode>) {
           ++counters_.lookups_answered;
-          obs::inc(tm_lookups_);
           Neighbors reply;
           reply.nodes = sybils_closest_to(m.target);
           std::erase(reply.nodes, from);  // never echo the asker back
@@ -367,7 +351,6 @@ void EclipseAdversary::on_sybil_message(std::size_t index, const NodeId& from,
           // echo against the victim's re-handshake path forever.
           if (engaged_[index].insert(from).second) {
             ++counters_.status_floods;
-            obs::inc(tm_status_floods_);
             send_from(sybil, from, Message{crafted_status()});
           }
         } else if constexpr (std::is_same_v<T, GetDaoHeader>) {
@@ -378,7 +361,6 @@ void EclipseAdversary::on_sybil_message(std::size_t index, const NodeId& from,
           send_from(sybil, from, Message{DaoHeader{}});
         } else if constexpr (std::is_same_v<T, GetBlocks>) {
           ++counters_.withheld_requests;
-          obs::inc(tm_withheld_);
           // never served: the starvation half of the eclipse
         }
       },
@@ -387,7 +369,6 @@ void EclipseAdversary::on_sybil_message(std::size_t index, const NodeId& from,
 
 void EclipseAdversary::tick() {
   ++counters_.rounds;
-  obs::inc(tm_rounds_);
   // Periodically forget who we already handshook so reaped sessions get
   // re-established; without this one unlucky loss would free a victim slot
   // for an honest peer permanently.
@@ -403,7 +384,6 @@ void EclipseAdversary::tick() {
   for (const NodeId& sybil : sybils_) {
     send_from(sybil, victim, Message{Ping{}});
     ++counters_.table_floods;
-    obs::inc(tm_table_floods_);
   }
   if (!sybils_.empty()) {
     const NodeId& teller = sybils_[counters_.rounds % sybils_.size()];
@@ -411,7 +391,6 @@ void EclipseAdversary::tick() {
     n.nodes = sybils_closest_to(victim);
     send_from(teller, victim, Message{std::move(n)});
     ++counters_.table_floods;
-    obs::inc(tm_table_floods_);
   }
   // Slot monopoly: un-engaged sybils push handshakes at the victim (filling
   // its inbound slots) and at its seeds (so the victim's own outbound dials
@@ -427,7 +406,6 @@ void EclipseAdversary::push_handshake(std::size_t index,
                                       const NodeId& target) {
   if (!engaged_[index].insert(target).second) return;
   ++counters_.status_floods;
-  obs::inc(tm_status_floods_);
   send_from(sybils_[index], target, Message{crafted_status()});
 }
 

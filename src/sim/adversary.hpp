@@ -102,9 +102,9 @@ class Adversary {
   const AdversaryOptions& options() const noexcept { return options_; }
   const AdversaryCounters& counters() const noexcept { return counters_; }
 
-  /// Register adversary.* counters in `reg`. Only attack runs call this, so
-  /// honest registries (and their golden fingerprints) keep exactly the
-  /// pre-existing metric set.
+  /// Bind counters() into `reg` as adversary.* metrics. Only attack runs
+  /// call this, so honest registries (and their golden fingerprints) keep
+  /// exactly the pre-existing metric set.
   void attach_telemetry(obs::Registry& reg);
 
  private:
@@ -135,11 +135,6 @@ class Adversary {
   std::uint64_t spam_seq_ = 0;
   std::uint64_t forge_seq_ = 0;
   std::uint64_t phantom_seq_ = 0;
-  obs::Counter* tm_rounds_ = nullptr;
-  obs::Counter* tm_forged_ = nullptr;
-  obs::Counter* tm_phantoms_ = nullptr;
-  obs::Counter* tm_spam_ = nullptr;
-  obs::Counter* tm_equivocations_ = nullptr;
 };
 
 // ------------------------------------------------------------------ eclipse
@@ -211,8 +206,8 @@ class EclipseAdversary {
     return sybil_index_.contains(id);
   }
 
-  /// Register adversary.eclipse.* counters (attack runs only, like
-  /// Adversary::attach_telemetry).
+  /// Bind counters() as adversary.eclipse.* metrics (attack runs only,
+  /// like Adversary::attach_telemetry).
   void attach_telemetry(obs::Registry& reg);
 
   /// Deterministic sybil minting, exposed for tests: grind a keccak nonce
@@ -248,11 +243,6 @@ class EclipseAdversary {
   /// an active session would echo indefinitely). Cleared every
   /// `reengage_rounds` so reaped sessions get re-established.
   std::vector<std::unordered_set<p2p::NodeId, p2p::NodeIdHasher>> engaged_;
-  obs::Counter* tm_rounds_ = nullptr;
-  obs::Counter* tm_table_floods_ = nullptr;
-  obs::Counter* tm_status_floods_ = nullptr;
-  obs::Counter* tm_lookups_ = nullptr;
-  obs::Counter* tm_withheld_ = nullptr;
 };
 
 }  // namespace forksim::sim

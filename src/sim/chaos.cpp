@@ -329,8 +329,6 @@ void ChaosRunner::install_churn() {
           if (ev.node_index < disks_.size())
             disks_[ev.node_index]->crash();
           const RecoveryOutcome out = node.cold_restart(rejoin);
-          ++cold_restarts_;
-          store_replay_rejected_ += out.replay_rejected;
           recovery_seconds_ += out.resume_delay;
           // mining resumes with the node, after the modeled recovery time
           const std::size_t idx = ev.node_index;
@@ -714,12 +712,12 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
   if (!stores_.empty()) {
     u64(stores_.size());
     for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-      const FullNode& node = scenario_->node(i);
-      u64(node.cold_restarts());
-      u64(node.recovery_scanned());
-      u64(node.recovery_corrupt());
-      u64(node.recovery_replayed());
-      u64(node.recovery_rejects());
+      const NodeCounters& c = scenario_->node(i).counters();
+      u64(c.cold_restarts);
+      u64(c.recovery_scanned);
+      u64(c.recovery_corrupt);
+      u64(c.recovery_replayed);
+      u64(c.recovery_rejects);
       u64(stores_[i]->record_count());
       const db::DiskCounters& d = disks_[i]->counters();
       u64(d.appends);
@@ -752,11 +750,11 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
     };
     u64(scenario_->node_count());
     for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-      const FullNode& node = scenario_->node(i);
+      const NodeCounters& c = scenario_->node(i).counters();
       u64(static_cast<std::uint64_t>(scenario_->client_family_of(i)));
-      u64(node.disputed_blocks());
-      u64(node.divergence_events());
-      u64(node.consensus_patches());
+      u64(c.disputed_blocks);
+      u64(c.divergence_events);
+      u64(c.consensus_patches);
     }
     if (scenario_->quirk_rules() != nullptr) {
       u64(scenario_->quirk_rules()->disputes());
@@ -804,9 +802,9 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
       u64(fx(isolation_seconds_[v]));
     }
     for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-      const FullNode& node = scenario_->node(i);
-      u64(node.eclipse_suspicions());
-      u64(node.eclipse_recoveries());
+      const NodeCounters& c = scenario_->node(i).counters();
+      u64(c.eclipse_suspicions);
+      u64(c.eclipse_recoveries);
     }
   }
   return h.digest();
@@ -847,27 +845,28 @@ ChaosReport ChaosRunner::run() {
       ++(scenario_->is_eth_node(i) ? report.survivors_eth
                                    : report.survivors_etc);
     }
-    report.sync_timeouts += node.sync_timeouts();
-    report.sync_retries += node.sync_retries();
-    report.dial_attempts += node.dial_attempts();
+    const NodeCounters& c = node.counters();
+    report.sync_timeouts += c.sync_timeouts;
+    report.sync_retries += c.sync_retries;
+    report.dial_attempts += c.dial_attempts;
     report.peers_banned += node.peers_banned();
-    report.disputed_blocks += node.disputed_blocks();
-    report.divergence_events += node.divergence_events();
-    report.consensus_patches += node.consensus_patches();
+    report.disputed_blocks += c.disputed_blocks;
+    report.divergence_events += c.divergence_events;
+    report.consensus_patches += c.consensus_patches;
+    report.cold_restarts += c.cold_restarts;
+    report.store_replay_rejected += c.recovery_rejects;
   }
   report.crashes = crashes_;
   report.restarts = restarts_;
   report.messages_sent = scenario_->network().messages_sent();
   report.faults = faults_->counters();
 
-  report.cold_restarts = cold_restarts_;
-  report.store_replay_rejected = store_replay_rejected_;
   report.recovery_seconds = recovery_seconds_;
   for (std::size_t i = 0; i < stores_.size(); ++i) {
-    const FullNode& node = scenario_->node(i);
-    report.store_records_scanned += node.recovery_scanned();
-    report.store_corrupt_records += node.recovery_corrupt();
-    report.store_blocks_replayed += node.recovery_replayed();
+    const NodeCounters& c = scenario_->node(i).counters();
+    report.store_records_scanned += c.recovery_scanned;
+    report.store_corrupt_records += c.recovery_corrupt;
+    report.store_blocks_replayed += c.recovery_replayed;
     const db::DiskCounters& d = disks_[i]->counters();
     report.store_appends += d.appends;
     report.disk_torn_writes += d.torn_writes;
@@ -887,9 +886,10 @@ ChaosReport ChaosRunner::run() {
     for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
       if (adversary_hosts_.contains(i)) continue;
       FullNode& node = scenario_->node(i);
-      report.wasted_executions += node.wasted_executions();
-      report.invalid_cache_hits += node.invalid_cache_hits();
-      report.rate_limited += node.rate_limited();
+      const NodeCounters& c = node.counters();
+      report.wasted_executions += c.wasted_executions;
+      report.invalid_cache_hits += c.invalid_cache_hits;
+      report.rate_limited += c.rate_limited;
       report.txpool_evictions += node.txpool().evictions();
     }
     for (const auto& adv : adversaries_) {
@@ -916,9 +916,9 @@ ChaosReport ChaosRunner::run() {
   if (!eclipse_adversaries_.empty()) {
     for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
       if (adversary_hosts_.contains(i)) continue;
-      const FullNode& node = scenario_->node(i);
-      report.eclipse_suspicions += node.eclipse_suspicions();
-      report.eclipse_recoveries += node.eclipse_recoveries();
+      const NodeCounters& c = scenario_->node(i).counters();
+      report.eclipse_suspicions += c.eclipse_suspicions;
+      report.eclipse_recoveries += c.eclipse_recoveries;
     }
     report.isolation_seconds = isolation_seconds_;
     for (std::size_t idx : eclipse_victims_)

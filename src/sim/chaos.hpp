@@ -387,8 +387,8 @@ class ChaosRunner {
   std::vector<double> family_divergence_seconds_;
   std::size_t crashes_ = 0;
   std::size_t restarts_ = 0;
-  std::size_t cold_restarts_ = 0;
-  std::uint64_t store_replay_rejected_ = 0;
+  /// Summed in event order (a float sum's value depends on its order), so
+  /// not re-derived from the nodes' own totals at report time.
   double recovery_seconds_ = 0.0;
 };
 

@@ -87,77 +87,49 @@ FullNode::~FullNode() { shutdown(); }
 
 void FullNode::attach_telemetry(obs::Registry& reg, obs::EventTracer* tracer,
                                 std::uint32_t lane) {
-  tm_imported_ = &reg.counter("node.blocks_imported");
-  tm_txs_ = &reg.counter("node.txs_received");
-  tm_dup_push_ = &reg.counter("node.duplicate_block_pushes");
-  tm_sync_timeouts_ = &reg.counter("node.sync_timeouts");
-  tm_sync_retries_ = &reg.counter("node.sync_retries");
-  tm_sync_gave_up_ = &reg.counter("node.sync_gave_up");
-  tm_dials_ = &reg.counter("node.dial_attempts");
-  tm_orphan_evict_ = &reg.counter("node.orphan_evictions");
+  const NodeCounters& c = counters_;
+  reg.bind("node.blocks_imported", c.blocks_imported);
+  reg.bind("node.txs_received", c.txs_received);
+  reg.bind("node.duplicate_block_pushes", c.duplicate_block_pushes);
+  reg.bind("node.sync_timeouts", c.sync_timeouts);
+  reg.bind("node.sync_retries", c.sync_retries);
+  reg.bind("node.sync_gave_up", c.sync_gave_up);
+  reg.bind("node.dial_attempts", c.dial_attempts);
+  reg.bind("node.orphan_evictions", c.orphan_evictions);
+  // Defense, fork-monitor, eclipse and restart counters appear from their
+  // first event on: attaching must not change the metric set — and so the
+  // registry fingerprint — of runs without those layers.
+  const auto bind_lazily = [&reg](const char* name, const std::uint64_t& f) {
+    reg.bind(name, f, &f);
+  };
+  bind_lazily("node.ingress.invalid_cache_hits", c.invalid_cache_hits);
+  bind_lazily("node.ingress.precheck_rejected", c.precheck_rejections);
+  bind_lazily("node.ingress.rate_limited", c.rate_limited);
+  bind_lazily("node.ingress.equivocations", c.equivocations);
+  bind_lazily("node.ingress.withheld", c.withheld);
+  bind_lazily("node.wasted_executions", c.wasted_executions);
+  bind_lazily("node.fork_monitor.disputed_blocks", c.disputed_blocks);
+  bind_lazily("node.fork_monitor.divergence_events", c.divergence_events);
+  bind_lazily("node.fork_monitor.consensus_patches", c.consensus_patches);
+  bind_lazily("node.eclipse.suspicions", c.eclipse_suspicions);
+  bind_lazily("node.eclipse.recoveries", c.eclipse_recoveries);
+  bind_lazily("node.cold_restarts", c.cold_restarts);
+  // the recovery totals appear with the first cold restart, even at 0
+  reg.bind("db.recovery.records_scanned", c.recovery_scanned,
+           &c.cold_restarts);
+  reg.bind("db.recovery.corrupt_records", c.recovery_corrupt,
+           &c.cold_restarts);
+  reg.bind("db.recovery.blocks_replayed", c.recovery_replayed,
+           &c.cold_restarts);
   tm_orphan_occ_ = &reg.gauge("node.orphan_occupancy");
+  if (c.recovery_seconds > 0.0) {
+    tm_rec_seconds_ = &reg.gauge("db.recovery.seconds");
+    tm_rec_seconds_->add(c.recovery_seconds);
+  }
+  reg_ = &reg;
   tracer_ = tracer;
   lane_ = lane;
-  tm_imported_->inc(blocks_imported_);
-  tm_txs_->inc(txs_received_);
-  tm_dup_push_->inc(duplicate_block_pushes_);
-  tm_sync_timeouts_->inc(sync_timeouts_);
-  tm_sync_retries_->inc(sync_retries_);
-  tm_sync_gave_up_->inc(sync_gave_up_);
-  tm_dials_->inc(dial_attempts_);
-  tm_orphan_evict_->inc(orphan_evictions_);
-  // Defense counters stay lazily registered (created on the first
-  // adversarial event): attaching must not change the metric set — and so
-  // the registry fingerprint — of adversary-free runs.
-  reg_ = &reg;
-  struct Fold {
-    std::uint64_t value;
-    obs::Counter** slot;
-    const char* name;
-  };
-  for (const Fold& f : {
-           Fold{invalid_cache_hits_, &tm_cache_hits_,
-                "node.ingress.invalid_cache_hits"},
-           Fold{precheck_rejections_, &tm_precheck_,
-                "node.ingress.precheck_rejected"},
-           Fold{rate_limited_, &tm_rate_limited_,
-                "node.ingress.rate_limited"},
-           Fold{equivocations_, &tm_equivocations_,
-                "node.ingress.equivocations"},
-           Fold{withheld_, &tm_withheld_, "node.ingress.withheld"},
-           Fold{wasted_executions_, &tm_wasted_, "node.wasted_executions"},
-           Fold{disputed_blocks_, &tm_disputed_,
-                "node.fork_monitor.disputed_blocks"},
-           Fold{divergence_events_, &tm_divergence_,
-                "node.fork_monitor.divergence_events"},
-           Fold{consensus_patches_, &tm_patches_,
-                "node.fork_monitor.consensus_patches"},
-           Fold{eclipse_suspicions_, &tm_eclipse_suspicions_,
-                "node.eclipse.suspicions"},
-           Fold{eclipse_recoveries_, &tm_eclipse_recoveries_,
-                "node.eclipse.recoveries"},
-           Fold{cold_restarts_, &tm_cold_restarts_, "node.cold_restarts"},
-           Fold{recovery_scanned_, &tm_rec_scanned_,
-                "db.recovery.records_scanned"},
-           Fold{recovery_corrupt_, &tm_rec_corrupt_,
-                "db.recovery.corrupt_records"},
-           Fold{recovery_replayed_, &tm_rec_replayed_,
-                "db.recovery.blocks_replayed"},
-       }) {
-    if (f.value == 0) continue;
-    *f.slot = &reg.counter(f.name);
-    (*f.slot)->inc(f.value);
-  }
-  if (recovery_seconds_ > 0.0) {
-    tm_rec_seconds_ = &reg.gauge("db.recovery.seconds");
-    tm_rec_seconds_->add(recovery_seconds_);
-  }
   peers_.attach_telemetry(reg);
-}
-
-void FullNode::bump_defense(obs::Counter*& c, const char* name) {
-  if (c == nullptr && reg_ != nullptr) c = &reg_->counter(name);
-  obs::inc(c);
 }
 
 core::ImportOutcome FullNode::import_block(const core::Block& block) {
@@ -171,8 +143,7 @@ core::ImportOutcome FullNode::import_block(const core::Block& block) {
 RecoveryOutcome FullNode::cold_restart(
     const std::vector<p2p::NodeId>& bootstrap) {
   shutdown();
-  ++cold_restarts_;
-  bump_defense(tm_cold_restarts_, "node.cold_restarts");
+  ++counters_.cold_restarts;
 
   // the process is gone: in-memory chain and mempool with it
   chain_.reset_to_genesis();
@@ -194,8 +165,7 @@ RecoveryOutcome FullNode::cold_restart(
     for (const core::Block& block : survivors) {
       const auto outcome = chain_.import(block);
       if (outcome.result == core::ImportResult::kImported) {
-        ++blocks_imported_;
-        obs::inc(tm_imported_);
+        ++counters_.blocks_imported;
         ++out.blocks_replayed;
       } else {
         ++out.replay_rejected;  // should be impossible: checksummed input
@@ -206,24 +176,12 @@ RecoveryOutcome FullNode::cold_restart(
   out.resume_delay = options_.recovery_seconds_per_block *
                      static_cast<double>(out.blocks_replayed);
 
-  recovery_scanned_ += out.store.records_scanned;
-  recovery_corrupt_ += out.store.corrupt_records;
-  recovery_replayed_ += out.blocks_replayed;
-  recovery_rejects_ += out.replay_rejected;
-  recovery_seconds_ += out.resume_delay;
+  counters_.recovery_scanned += out.store.records_scanned;
+  counters_.recovery_corrupt += out.store.corrupt_records;
+  counters_.recovery_replayed += out.blocks_replayed;
+  counters_.recovery_rejects += out.replay_rejected;
+  counters_.recovery_seconds += out.resume_delay;
   if (reg_ != nullptr) {
-    // lazily registered, like the defense counters: store-less runs keep
-    // their metric set (and registry fingerprint) unchanged
-    const auto lazy = [&](obs::Counter*& c, const char* name) -> obs::Counter& {
-      if (c == nullptr) c = &reg_->counter(name);
-      return *c;
-    };
-    lazy(tm_rec_scanned_, "db.recovery.records_scanned")
-        .inc(out.store.records_scanned);
-    lazy(tm_rec_corrupt_, "db.recovery.corrupt_records")
-        .inc(out.store.corrupt_records);
-    lazy(tm_rec_replayed_, "db.recovery.blocks_replayed")
-        .inc(out.blocks_replayed);
     if (tm_rec_seconds_ == nullptr)
       tm_rec_seconds_ = &reg_->gauge("db.recovery.seconds");
     tm_rec_seconds_->add(out.resume_delay);
@@ -298,10 +256,7 @@ void FullNode::tick() {
       if (peers_.connected_to(candidate)) continue;
       if (options_.eclipse.enabled && dial_over_group_cap(candidate))
         continue;
-      if (peers_.connect(candidate)) {
-        ++dial_attempts_;
-        obs::inc(tm_dials_);
-      }
+      if (peers_.connect(candidate)) ++counters_.dial_attempts;
       if (peers_.session_count() >= options_.max_peers) break;
     }
     if (rng_.chance(0.5)) discovery_.refresh();
@@ -368,8 +323,7 @@ void FullNode::check_isolation() {
   // from one place, which honest topology never produces. One-shot until
   // the head moves again.
   eclipse_suspected_ = true;
-  ++eclipse_suspicions_;
-  bump_defense(tm_eclipse_suspicions_, "node.eclipse.suspicions");
+  ++counters_.eclipse_suspicions;
   if (tracer_ != nullptr)
     tracer_->instant(
         "eclipse", "suspicion", lane_,
@@ -380,8 +334,7 @@ void FullNode::check_isolation() {
 }
 
 void FullNode::recover_from_eclipse() {
-  ++eclipse_recoveries_;
-  bump_defense(tm_eclipse_recoveries_, "node.eclipse.recoveries");
+  ++counters_.eclipse_recoveries;
   if (tracer_ != nullptr) tracer_->instant("eclipse", "recovery", lane_);
   // Drop every session — disconnect, never ban: a suspicion is not proof
   // of guilt against any individual peer, and honest peers caught in the
@@ -504,8 +457,7 @@ void FullNode::note_import_reject(const Hash256& hash,
   if (result == core::ImportResult::kInvalidBody) {
     // the body ran through full transaction execution before a commitment
     // (state root / receipts / gas) failed — work the forger wasted
-    ++wasted_executions_;
-    bump_defense(tm_wasted_, "node.wasted_executions");
+    ++counters_.wasted_executions;
   }
 }
 
@@ -528,8 +480,7 @@ void FullNode::note_disputed(const core::BlockHeader& header,
     disputed_headers_.erase(disputed_order_.front());
     disputed_order_.pop_front();
   }
-  ++disputed_blocks_;
-  bump_defense(tm_disputed_, "node.fork_monitor.disputed_blocks");
+  ++counters_.disputed_blocks;
   if (disputed_.count == 0) {
     disputed_.min_number = header.number;
     disputed_.max_number = header.number;
@@ -548,8 +499,7 @@ void FullNode::note_disputed(const core::BlockHeader& header,
   if (!disputed_.divergence_raised &&
       disputed_.count >= options_.divergence_threshold) {
     disputed_.divergence_raised = true;
-    ++divergence_events_;
-    bump_defense(tm_divergence_, "node.fork_monitor.divergence_events");
+    ++counters_.divergence_events;
     if (tracer_ != nullptr)
       tracer_->instant(
           "fork_monitor", "divergence", lane_,
@@ -559,8 +509,7 @@ void FullNode::note_disputed(const core::BlockHeader& header,
 }
 
 void FullNode::apply_consensus_patch() {
-  ++consensus_patches_;
-  bump_defense(tm_patches_, "node.fork_monitor.consensus_patches");
+  ++counters_.consensus_patches;
   if (tracer_ != nullptr)
     tracer_->instant(
         "fork_monitor", "patch", lane_,
@@ -625,14 +574,12 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
     pending_fetch_.erase(it);
     return;
   }
-  ++sync_timeouts_;
-  obs::inc(tm_sync_timeouts_);
+  ++counters_.sync_timeouts;
   if (tracer_ != nullptr) tracer_->instant("sync", "timeout", lane_);
   PendingFetch& req = it->second;
   peers_.note_timeout(req.peer);
   if (req.attempt >= options_.sync_max_retries) {
-    ++sync_gave_up_;
-    obs::inc(tm_sync_gave_up_);
+    ++counters_.sync_gave_up;
     if (tracer_ != nullptr) tracer_->instant("sync", "gave_up", lane_);
     pending_fetch_.erase(it);
     return;
@@ -651,12 +598,10 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
       if (s != nullptr && s->knows(head)) informed.push_back(p);
     }
     if (informed.empty()) {
-      ++withheld_;
-      bump_defense(tm_withheld_, "node.ingress.withheld");
+      ++counters_.withheld;
       if (peers_.session(req.origin) != nullptr)
         peers_.note_garbage(req.origin);
-      ++sync_gave_up_;
-      obs::inc(tm_sync_gave_up_);
+      ++counters_.sync_gave_up;
       if (tracer_ != nullptr) tracer_->instant("sync", "gave_up", lane_);
       pending_fetch_.erase(it);
       return;
@@ -676,8 +621,7 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
     }
   }
   ++req.attempt;
-  ++sync_retries_;
-  obs::inc(tm_sync_retries_);
+  ++counters_.sync_retries;
   if (tracer_ != nullptr)
     tracer_->instant("sync", "retry", lane_,
                      {{"attempt", static_cast<std::int64_t>(req.attempt)}});
@@ -707,36 +651,29 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
           // spends anything, and full execution only runs inside import.
           if (hardened() && session != nullptr) {
             if (rejected_.contains(hash)) {
-              ++invalid_cache_hits_;
-              bump_defense(tm_cache_hits_, "node.ingress.invalid_cache_hits");
+              ++counters_.invalid_cache_hits;
               peers_.note_garbage(from);  // re-pushing a block we rejected
               return;
             }
             if (!session->block_bucket.take(network_.loop().now())) {
-              ++rate_limited_;
-              bump_defense(tm_rate_limited_, "node.ingress.rate_limited");
+              ++counters_.rate_limited;
               peers_.note_spam(from);
               return;
             }
             if (!precheck_block(m.block)) {
-              ++precheck_rejections_;
-              bump_defense(tm_precheck_, "node.ingress.precheck_rejected");
+              ++counters_.precheck_rejections;
               mark_rejected(hash);
               peers_.note_garbage(from);
               return;
             }
             if (session->note_child(m.block.header.parent_hash, hash) >=
                 options_.hardening.equivocation_threshold) {
-              ++equivocations_;
-              bump_defense(tm_equivocations_, "node.ingress.equivocations");
+              ++counters_.equivocations;
               peers_.note_garbage(from);
               return;
             }
           }
-          if (chain_.contains(hash)) {
-            ++duplicate_block_pushes_;
-            obs::inc(tm_dup_push_);
-          }
+          if (chain_.contains(hash)) ++counters_.duplicate_block_pushes;
           resolve_fetch(hash);
           if (disputed_hashes_.contains(hash)) return;  // header-followed
           import_and_relay(from, m.block);
@@ -745,8 +682,7 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
               !session->block_bucket.take(
                   network_.loop().now(),
                   static_cast<double>(m.hashes.size()))) {
-            ++rate_limited_;
-            bump_defense(tm_rate_limited_, "node.ingress.rate_limited");
+            ++counters_.rate_limited;
             peers_.note_spam(from);
             return;
           }
@@ -754,8 +690,7 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
             if (session) session->mark_known(h);
             if (hardened() && rejected_.contains(h)) {
               // never re-fetch a hash our rules already condemned
-              ++invalid_cache_hits_;
-              bump_defense(tm_cache_hits_, "node.ingress.invalid_cache_hits");
+              ++counters_.invalid_cache_hits;
               continue;
             }
             if (!chain_.contains(h)) request_blocks(from, h, 1);
@@ -798,8 +733,7 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
               !session->block_bucket.take(
                   network_.loop().now(),
                   static_cast<double>(m.blocks.size()))) {
-            ++rate_limited_;
-            bump_defense(tm_rate_limited_, "node.ingress.rate_limited");
+            ++counters_.rate_limited;
             peers_.note_spam(from);
             return;
           }
@@ -810,15 +744,12 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
             if (disputed_hashes_.contains(hash)) continue;  // header-followed
             if (hardened()) {
               if (rejected_.contains(hash)) {
-                ++invalid_cache_hits_;
-                bump_defense(tm_cache_hits_,
-                             "node.ingress.invalid_cache_hits");
+                ++counters_.invalid_cache_hits;
                 garbage = true;
                 continue;  // absorbed: no re-validation, no re-execution
               }
               if (!precheck_block(b)) {
-                ++precheck_rejections_;
-                bump_defense(tm_precheck_, "node.ingress.precheck_rejected");
+                ++counters_.precheck_rejections;
                 mark_rejected(hash);
                 garbage = true;
                 continue;
@@ -826,8 +757,7 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
             }
             const auto outcome = import_block(b);
             if (outcome.result == core::ImportResult::kImported) {
-              ++blocks_imported_;
-              obs::inc(tm_imported_);
+              ++counters_.blocks_imported;
               useful = true;
               if (outcome.became_head) after_head_change();
             } else if (outcome.result == core::ImportResult::kUnknownParent) {
@@ -874,8 +804,7 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
               !session->tx_bucket.take(
                   network_.loop().now(),
                   static_cast<double>(m.transactions.size()))) {
-            ++rate_limited_;
-            bump_defense(tm_rate_limited_, "node.ingress.rate_limited");
+            ++counters_.rate_limited;
             peers_.note_spam(from);
             return;
           }
@@ -885,8 +814,7 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
             if (session) session->mark_known(tx.hash());
             const auto result =
                 pool_.add(tx, chain_.head_state(), chain_.height());
-            ++txs_received_;
-            obs::inc(tm_txs_);
+            ++counters_.txs_received;
             if (result == core::PoolAddResult::kAdded ||
                 result == core::PoolAddResult::kReplacedExisting)
               fresh.push_back(tx);
@@ -911,8 +839,7 @@ void FullNode::import_and_relay(const NodeId& from, const core::Block& block) {
   const auto outcome = import_block(block);
   switch (outcome.result) {
     case core::ImportResult::kImported: {
-      ++blocks_imported_;
-      obs::inc(tm_imported_);
+      ++counters_.blocks_imported;
       peers_.note_useful(from);
       pool_.remove_included(block.transactions, chain_.head_state());
       relay_block(block, outcome.became_head);
@@ -996,8 +923,7 @@ void FullNode::add_orphan(const core::Block& block, bool solicited) {
     if (victim_it == orphan_order_.end()) victim_it = orphan_order_.begin();
     const OrphanRef victim = *victim_it;
     orphan_order_.erase(victim_it);
-    ++orphan_evictions_;
-    obs::inc(tm_orphan_evict_);
+    ++counters_.orphan_evictions;
     auto it = orphans_.find(victim.parent);
     if (it == orphans_.end()) continue;  // bucket already imported/evicted
     std::erase_if(it->second,
@@ -1024,8 +950,7 @@ void FullNode::try_orphans() {
       for (const core::Block& block : children) {
         const auto outcome = import_block(block);
         if (outcome.result == core::ImportResult::kImported) {
-          ++blocks_imported_;
-          obs::inc(tm_imported_);
+          ++counters_.blocks_imported;
           relay_block(block, outcome.became_head);
           if (outcome.became_head) after_head_change();
           progress = true;
@@ -1099,8 +1024,7 @@ core::PoolAddResult FullNode::submit_transaction(const core::Transaction& tx) {
 core::ImportOutcome FullNode::submit_block(const core::Block& block) {
   const auto outcome = import_block(block);
   if (outcome.result == core::ImportResult::kImported) {
-    ++blocks_imported_;
-    obs::inc(tm_imported_);
+    ++counters_.blocks_imported;
     pool_.remove_included(block.transactions, chain_.head_state());
     relay_block(block, outcome.became_head);
     if (outcome.became_head) after_head_change();

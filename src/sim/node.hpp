@@ -141,6 +141,60 @@ struct RecoveryOutcome {
   double resume_delay = 0.0;
 };
 
+/// Everything one FullNode counts, one plain field per event kind.
+/// attach_telemetry binds these fields into a registry, which reads them at
+/// snapshot time; no second copy is kept anywhere.
+struct NodeCounters {
+  std::uint64_t blocks_imported = 0;
+  std::uint64_t txs_received = 0;
+  /// Full NewBlock pushes received for blocks we already had — the
+  /// redundancy cost of aggressive push gossip.
+  std::uint64_t duplicate_block_pushes = 0;
+  /// Resilient sync.
+  std::uint64_t sync_timeouts = 0;
+  std::uint64_t sync_retries = 0;
+  std::uint64_t sync_gave_up = 0;
+  std::uint64_t dial_attempts = 0;
+  /// Orphans evicted because the buffer hit NodeOptions::max_orphans.
+  std::uint64_t orphan_evictions = 0;
+  /// Defense telemetry (all zero unless hardening is enabled and peers
+  /// misbehave). Announcements/pushes of hashes already in the
+  /// known-invalid cache — attacks absorbed without re-validation.
+  std::uint64_t invalid_cache_hits = 0;
+  /// Blocks rejected by the cheap structural precheck, before any header
+  /// rule or execution ran.
+  std::uint64_t precheck_rejections = 0;
+  /// Messages dropped by a per-peer token bucket.
+  std::uint64_t rate_limited = 0;
+  /// Same-parent sibling floods detected (equivocation).
+  std::uint64_t equivocations = 0;
+  /// Fetches abandoned because nobody but the announcer ever advertised the
+  /// hash — phantom announcements from a withholder.
+  std::uint64_t withheld = 0;
+  /// Blocks that were fully executed only to fail a body commitment
+  /// (state/receipts/gas mismatch) — the work an invalid-block forger
+  /// managed to waste.
+  std::uint64_t wasted_executions = 0;
+  /// Fork monitor: blocks our rules disputed (header-followed, never
+  /// executed, never blamed on the peer), divergence events raised
+  /// (persistent competing head detected), and consensus patches applied.
+  std::uint64_t disputed_blocks = 0;
+  std::uint64_t divergence_events = 0;
+  std::uint64_t consensus_patches = 0;
+  /// Eclipse defense: one-shot isolation suspicions raised and
+  /// drop-and-re-bootstrap recoveries performed.
+  std::uint64_t eclipse_suspicions = 0;
+  std::uint64_t eclipse_recoveries = 0;
+  /// Durability: totals over this node's cold restarts.
+  std::uint64_t cold_restarts = 0;
+  /// Sum of replay_rejected (must stay 0).
+  std::uint64_t recovery_rejects = 0;
+  std::uint64_t recovery_scanned = 0;
+  std::uint64_t recovery_corrupt = 0;
+  std::uint64_t recovery_replayed = 0;
+  double recovery_seconds = 0.0;
+};
+
 class FullNode {
  public:
   FullNode(p2p::Network& network, p2p::NodeId id, core::ChainConfig config,
@@ -187,18 +241,6 @@ class FullNode {
   /// from peers through the normal timeout/retry machinery). Without a
   /// store this is a total wipe: the node restarts from genesis.
   RecoveryOutcome cold_restart(const std::vector<p2p::NodeId>& bootstrap);
-  std::uint64_t cold_restarts() const noexcept { return cold_restarts_; }
-  /// Sum of replay_rejected over this node's cold restarts (must stay 0).
-  std::uint64_t recovery_rejects() const noexcept {
-    return recovery_rejects_;
-  }
-  // recovery totals over this node's cold restarts
-  std::uint64_t recovery_scanned() const noexcept { return recovery_scanned_; }
-  std::uint64_t recovery_corrupt() const noexcept { return recovery_corrupt_; }
-  std::uint64_t recovery_replayed() const noexcept {
-    return recovery_replayed_;
-  }
-  double recovery_seconds() const noexcept { return recovery_seconds_; }
 
   /// Inject a locally-created transaction (adds to the pool and gossips).
   core::PoolAddResult submit_transaction(const core::Transaction& tx);
@@ -233,64 +275,25 @@ class FullNode {
   };
   const DisputedRange& disputed_range() const noexcept { return disputed_; }
 
-  /// Fork-monitor telemetry: blocks our rules disputed (header-followed,
-  /// never executed, never blamed on the peer), divergence events raised
-  /// (persistent competing head detected), and consensus patches applied.
-  std::uint64_t disputed_blocks() const noexcept { return disputed_blocks_; }
-  std::uint64_t divergence_events() const noexcept {
-    return divergence_events_;
+  /// Everything this node has counted (peer-session counts live in
+  /// peers()).
+  const NodeCounters& counters() const noexcept { return counters_; }
+  // shorthands kept for the benchmark harness
+  std::uint64_t blocks_imported() const noexcept {
+    return counters_.blocks_imported;
   }
-  std::uint64_t consensus_patches() const noexcept {
-    return consensus_patches_;
-  }
-
-  // telemetry
-  std::uint64_t blocks_imported() const noexcept { return blocks_imported_; }
-  std::uint64_t txs_received() const noexcept { return txs_received_; }
-  /// Full NewBlock pushes received for blocks we already had — the
-  /// redundancy cost of aggressive push gossip.
+  std::uint64_t txs_received() const noexcept { return counters_.txs_received; }
   std::uint64_t duplicate_block_pushes() const noexcept {
-    return duplicate_block_pushes_;
+    return counters_.duplicate_block_pushes;
   }
-  std::uint64_t wrong_fork_drops() const noexcept {
-    return peers_.wrong_fork_drops();
+  std::uint64_t sync_timeouts() const noexcept {
+    return counters_.sync_timeouts;
   }
-  /// Resilient-sync telemetry.
-  std::uint64_t sync_timeouts() const noexcept { return sync_timeouts_; }
-  std::uint64_t sync_retries() const noexcept { return sync_retries_; }
-  std::uint64_t sync_gave_up() const noexcept { return sync_gave_up_; }
-  std::size_t sync_inflight() const noexcept { return pending_fetch_.size(); }
-  std::uint64_t dial_attempts() const noexcept { return dial_attempts_; }
+  std::uint64_t sync_retries() const noexcept { return counters_.sync_retries; }
   std::uint64_t peers_banned() const noexcept { return peers_.bans(); }
+
+  std::size_t sync_inflight() const noexcept { return pending_fetch_.size(); }
   std::size_t orphan_count() const noexcept { return orphan_order_.size(); }
-  /// Orphans evicted because the buffer hit NodeOptions::max_orphans.
-  std::uint64_t orphan_evictions() const noexcept { return orphan_evictions_; }
-  /// Defense telemetry (all zero unless hardening is enabled and peers
-  /// misbehave). Announcements/pushes of hashes already in the
-  /// known-invalid cache — attacks absorbed without re-validation.
-  std::uint64_t invalid_cache_hits() const noexcept {
-    return invalid_cache_hits_;
-  }
-  /// Blocks rejected by the cheap structural precheck, before any header
-  /// rule or execution ran.
-  std::uint64_t precheck_rejections() const noexcept {
-    return precheck_rejections_;
-  }
-  /// Messages dropped by a per-peer token bucket.
-  std::uint64_t rate_limited() const noexcept { return rate_limited_; }
-  /// Same-parent sibling floods detected (equivocation).
-  std::uint64_t equivocations_detected() const noexcept {
-    return equivocations_;
-  }
-  /// Fetches abandoned because nobody but the announcer ever advertised the
-  /// hash — phantom announcements from a withholder.
-  std::uint64_t withheld_announcements() const noexcept { return withheld_; }
-  /// Blocks that were fully executed only to fail a body commitment
-  /// (state/receipts/gas mismatch) — the work an invalid-block forger
-  /// managed to waste.
-  std::uint64_t wasted_executions() const noexcept {
-    return wasted_executions_;
-  }
 
   /// Install the group (region/AS) oracle shared by the eclipse defenses:
   /// discovery diversity caps, the inbound group cap, the dial cap, and the
@@ -299,14 +302,6 @@ class FullNode {
   /// Rng draws.
   void set_region_fn(std::function<std::uint32_t(const p2p::NodeId&)> fn);
 
-  /// Eclipse telemetry: one-shot isolation suspicions raised and
-  /// drop-and-re-bootstrap recoveries performed.
-  std::uint64_t eclipse_suspicions() const noexcept {
-    return eclipse_suspicions_;
-  }
-  std::uint64_t eclipse_recoveries() const noexcept {
-    return eclipse_recoveries_;
-  }
   /// Current anchor set (longest-lived active peers; persisted via the
   /// attached store when the eclipse defense is on).
   const std::vector<p2p::NodeId>& anchors() const noexcept { return anchors_; }
@@ -315,11 +310,14 @@ class FullNode {
   /// exposed for tests and probes.
   double peer_homogeneity() const;
 
-  /// Register node.*/peers.* metrics in `reg` (shared across nodes: named
-  /// counters aggregate over the population) and, when `tracer` is given,
-  /// emit sync/lifecycle instants on display lane `lane` (one lane per
-  /// node keeps Chrome traces readable). Call any time; prior counts fold
-  /// in. Never consumes Rng draws.
+  /// Bind counters() and the peer-session counts into `reg` as node.*,
+  /// db.recovery.* and peers.* metrics (shared across nodes: named counters
+  /// aggregate over the population) and, when `tracer` is given, emit
+  /// sync/lifecycle instants on display lane `lane` (one lane per node
+  /// keeps Chrome traces readable). Call once per registry, any time; the
+  /// registry reads the live counts, so prior counts are included. The
+  /// node must outlive the registry's last read. Never consumes Rng
+  /// draws.
   void attach_telemetry(obs::Registry& reg, obs::EventTracer* tracer = nullptr,
                         std::uint32_t lane = 0);
 
@@ -421,31 +419,13 @@ class FullNode {
   /// the range, raise `divergence` once the competing branch persists.
   void note_disputed(const core::BlockHeader& header, const Hash256& hash);
 
-  std::uint64_t blocks_imported_ = 0;
-  std::uint64_t txs_received_ = 0;
-  std::uint64_t duplicate_block_pushes_ = 0;
-  std::uint64_t sync_timeouts_ = 0;
-  std::uint64_t sync_retries_ = 0;
-  std::uint64_t sync_gave_up_ = 0;
-  std::uint64_t dial_attempts_ = 0;
-  std::uint64_t orphan_evictions_ = 0;
-  std::uint64_t invalid_cache_hits_ = 0;
-  std::uint64_t precheck_rejections_ = 0;
-  std::uint64_t rate_limited_ = 0;
-  std::uint64_t equivocations_ = 0;
-  std::uint64_t withheld_ = 0;
-  std::uint64_t wasted_executions_ = 0;
-  std::uint64_t disputed_blocks_ = 0;
-  std::uint64_t divergence_events_ = 0;
-  std::uint64_t consensus_patches_ = 0;
+  NodeCounters counters_;
   bool rechallenged_at_fork_ = false;
 
   /// Eclipse-defense state (inert while the layer is disabled).
   std::function<std::uint32_t(const p2p::NodeId&)> region_fn_;
   double last_head_change_time_ = 0.0;
   bool eclipse_suspected_ = false;  // one-shot until the head moves again
-  std::uint64_t eclipse_suspicions_ = 0;
-  std::uint64_t eclipse_recoveries_ = 0;
   /// When each currently-known peer first went active (anchor aging).
   std::unordered_map<p2p::NodeId, double, p2p::NodeIdHasher> peer_first_seen_;
   std::vector<p2p::NodeId> anchors_;
@@ -453,12 +433,6 @@ class FullNode {
   /// Durability layer (null / zero unless a store is attached).
   db::BlockStore* store_ = nullptr;
   bool replaying_ = false;  // recovery replay must not re-append its input
-  std::uint64_t cold_restarts_ = 0;
-  std::uint64_t recovery_rejects_ = 0;
-  std::uint64_t recovery_scanned_ = 0;
-  std::uint64_t recovery_corrupt_ = 0;
-  std::uint64_t recovery_replayed_ = 0;
-  double recovery_seconds_ = 0.0;
 
   /// Staged ingress pipeline helpers (active only under hardening).
   bool hardened() const noexcept { return options_.hardening.enabled; }
@@ -469,37 +443,13 @@ class FullNode {
   /// Record an import rejection: cache the hash and attribute wasted
   /// execution work when the block got as far as running transactions.
   void note_import_reject(const Hash256& hash, core::ImportResult result);
-  /// Bump a lazily-registered defense counter (created on first event so
-  /// adversary-free registries — and their fingerprints — are unchanged).
-  void bump_defense(obs::Counter*& c, const char* name);
 
   void update_orphan_gauge();
-  obs::Counter* tm_imported_ = nullptr;
-  obs::Counter* tm_txs_ = nullptr;
-  obs::Counter* tm_dup_push_ = nullptr;
-  obs::Counter* tm_sync_timeouts_ = nullptr;
-  obs::Counter* tm_sync_retries_ = nullptr;
-  obs::Counter* tm_sync_gave_up_ = nullptr;
-  obs::Counter* tm_dials_ = nullptr;
-  obs::Counter* tm_orphan_evict_ = nullptr;
   obs::Gauge* tm_orphan_occ_ = nullptr;
-  // lazily registered (see bump_defense)
-  obs::Counter* tm_cold_restarts_ = nullptr;
-  obs::Counter* tm_rec_scanned_ = nullptr;
-  obs::Counter* tm_rec_corrupt_ = nullptr;
-  obs::Counter* tm_rec_replayed_ = nullptr;
+  /// Created on the first cold restart after attach: store-less runs keep
+  /// their metric set. A float sum across nodes in event order, so it is
+  /// added to as it happens rather than bound.
   obs::Gauge* tm_rec_seconds_ = nullptr;
-  obs::Counter* tm_cache_hits_ = nullptr;
-  obs::Counter* tm_precheck_ = nullptr;
-  obs::Counter* tm_rate_limited_ = nullptr;
-  obs::Counter* tm_equivocations_ = nullptr;
-  obs::Counter* tm_withheld_ = nullptr;
-  obs::Counter* tm_wasted_ = nullptr;
-  obs::Counter* tm_disputed_ = nullptr;
-  obs::Counter* tm_divergence_ = nullptr;
-  obs::Counter* tm_patches_ = nullptr;
-  obs::Counter* tm_eclipse_suspicions_ = nullptr;
-  obs::Counter* tm_eclipse_recoveries_ = nullptr;
   obs::Registry* reg_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;
   std::uint32_t lane_ = 0;

@@ -194,7 +194,7 @@ std::size_t ForkScenario::cross_side_links() const {
 
 std::uint64_t ForkScenario::total_wrong_fork_drops() const {
   std::uint64_t total = 0;
-  for (const auto& node : nodes_) total += node->wrong_fork_drops();
+  for (const auto& node : nodes_) total += node->peers().wrong_fork_drops();
   return total;
 }
 

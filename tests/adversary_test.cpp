@@ -264,12 +264,15 @@ TEST_F(AdversaryConvergenceTest, InvalidBlockForgerIsBannedAndCached) {
   run(AdversaryKind::kInvalidForger, 1201);
   expect_attack_contained();
   // forged bodies executed once before the commitment check caught them...
-  EXPECT_GT(
-      sum_honest([](const FullNode& n) { return n.wasted_executions(); }), 0u);
+  EXPECT_GT(sum_honest([](const FullNode& n) {
+              return n.counters().wasted_executions;
+            }),
+            0u);
   // ...and re-pushes were absorbed by the known-invalid cache for free
-  EXPECT_GT(
-      sum_honest([](const FullNode& n) { return n.invalid_cache_hits(); }),
-      0u);
+  EXPECT_GT(sum_honest([](const FullNode& n) {
+              return n.counters().invalid_cache_hits;
+            }),
+            0u);
 }
 
 TEST_F(AdversaryConvergenceTest, WithholderBlamedForPhantomAnnouncements) {
@@ -277,9 +280,8 @@ TEST_F(AdversaryConvergenceTest, WithholderBlamedForPhantomAnnouncements) {
   expect_attack_contained();
   // fetches nobody but the announcer could serve were written off and
   // charged to the announcer, not to innocent peers
-  EXPECT_GT(
-      sum_honest([](const FullNode& n) { return n.withheld_announcements(); }),
-      0u);
+  EXPECT_GT(sum_honest([](const FullNode& n) { return n.counters().withheld; }),
+            0u);
 }
 
 TEST_F(AdversaryConvergenceTest, TxSpammerTripsJunkDetectorPoolStaysBounded) {
@@ -297,7 +299,7 @@ TEST_F(AdversaryConvergenceTest, EquivocatorDetectedBySiblingTracking) {
   run(AdversaryKind::kEquivocator, 1501);
   expect_attack_contained();
   EXPECT_GT(
-      sum_honest([](const FullNode& n) { return n.equivocations_detected(); }),
+      sum_honest([](const FullNode& n) { return n.counters().equivocations; }),
       0u);
 }
 
@@ -331,9 +333,9 @@ TEST(AdversaryBaselineTest, UnhardenedNodeRevalidatesEveryRepush) {
 
   EXPECT_GT(adv.counters().blocks_forged, 0u);
   // un-hardened: no staged-pipeline counters move, every push re-validated
-  EXPECT_EQ(victim.invalid_cache_hits(), 0u);
-  EXPECT_EQ(victim.precheck_rejections(), 0u);
-  EXPECT_EQ(victim.rate_limited(), 0u);
+  EXPECT_EQ(victim.counters().invalid_cache_hits, 0u);
+  EXPECT_EQ(victim.counters().precheck_rejections, 0u);
+  EXPECT_EQ(victim.counters().rate_limited, 0u);
   // but invalid blocks still cost garbage demerits -> the attacker is banned
   EXPECT_TRUE(victim.peers().ever_banned(attacker_host.id()));
 }
@@ -392,7 +394,7 @@ TEST(AdversaryBaselineTest, QuirkDisputeIsNeverBannedButForgerStillIs) {
   // the disputer refused the producer's entire chain...
   EXPECT_GT(producer.chain().height(), 5u);
   EXPECT_EQ(disputer.chain().height(), 0u);
-  EXPECT_GT(disputer.disputed_blocks(), 0u);
+  EXPECT_GT(disputer.counters().disputed_blocks, 0u);
   EXPECT_GT(rules.disputes(), 0u);
   // ...yet neither side of the disagreement ever banned the other
   EXPECT_FALSE(disputer.peers().ever_banned(producer.id()));

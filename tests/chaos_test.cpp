@@ -232,7 +232,7 @@ TEST(OrphanTest, UnsolicitedOrphanFloodIsBounded) {
   EXPECT_GE(reg.counter_value("node.orphan_evictions"),
             21u - options.max_orphans);
   EXPECT_EQ(reg.counter_value("node.orphan_evictions"),
-            node->orphan_evictions());
+            node->counters().orphan_evictions);
   EXPECT_LE(reg.gauge_value("node.orphan_occupancy"),
             static_cast<double>(options.max_orphans));
   EXPECT_DOUBLE_EQ(reg.gauge_value("node.orphan_occupancy"),

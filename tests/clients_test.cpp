@@ -359,8 +359,8 @@ TEST(DivergenceNodeTest, QuirkNodeDegradesThenRecoversAfterPatch) {
   ASSERT_GT(producer->chain().height(), 10u);
   // graceful degradation: the receiver followed headers, imported nothing
   EXPECT_EQ(receiver->chain().height(), 0u);
-  EXPECT_GT(receiver->disputed_blocks(), 3u);
-  EXPECT_EQ(receiver->divergence_events(), 1u);
+  EXPECT_GT(receiver->counters().disputed_blocks, 3u);
+  EXPECT_EQ(receiver->counters().divergence_events, 1u);
   const auto& range = receiver->disputed_range();
   EXPECT_TRUE(range.divergence_raised);
   EXPECT_GE(range.max_number, range.min_number);
@@ -370,7 +370,7 @@ TEST(DivergenceNodeTest, QuirkNodeDegradesThenRecoversAfterPatch) {
   EXPECT_FALSE(receiver->peers().ever_banned(producer->id()));
   const obs::Snapshot t = reg.snapshot();
   EXPECT_EQ(t.counter_value("node.fork_monitor.disputed_blocks"),
-            receiver->disputed_blocks());
+            receiver->counters().disputed_blocks);
   EXPECT_EQ(t.counter_value("node.fork_monitor.divergence_events"), 1u);
 
   // the hotfix ships: quirk off, fork monitor cleared, disputed branch
@@ -379,7 +379,7 @@ TEST(DivergenceNodeTest, QuirkNodeDegradesThenRecoversAfterPatch) {
   receiver->apply_consensus_patch();
   net.loop.run_until(net.loop.now() + 200.0);
 
-  EXPECT_EQ(receiver->consensus_patches(), 1u);
+  EXPECT_EQ(receiver->counters().consensus_patches, 1u);
   EXPECT_EQ(receiver->disputed_range().count, 0u);
   EXPECT_EQ(receiver->chain().head().hash(), producer->chain().head().hash());
   EXPECT_EQ(receiver->chain().height(), producer->chain().height());

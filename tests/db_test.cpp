@@ -439,8 +439,8 @@ TEST(RecoveryEquivalenceTest, ColdRestartsMatchTheNeverCrashedReplica) {
   net.loop.run_until(net.loop.now() + 300.0);
 
   ASSERT_GT(a->chain().height(), 20u);
-  EXPECT_EQ(b->cold_restarts(), 4u);
-  EXPECT_EQ(b->recovery_rejects(), 0u);
+  EXPECT_EQ(b->counters().cold_restarts, 4u);
+  EXPECT_EQ(b->counters().recovery_rejects, 0u);
   EXPECT_GT(replayed_total, 0u);  // the log genuinely shortened the re-sync
 
   // equivalence: same head, same state commitment as the healthy replica

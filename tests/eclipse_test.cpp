@@ -425,11 +425,12 @@ TEST(IsolationDetectorTest, StaleHeadPlusHomogeneousPeersTriggersRecovery) {
   // the swarm owns the victim's peer set and its table
   EXPECT_GE(victim.peers().active_count(), 2u);
   EXPECT_GE(victim.peer_homogeneity(), 0.99);
-  EXPECT_EQ(victim.eclipse_suspicions(), 0u);  // head not stale yet
+  EXPECT_EQ(victim.counters().eclipse_suspicions, 0u);  // head not stale yet
 
   loop.run_until(120.0);  // stale_after elapses with homogeneous peers
-  EXPECT_EQ(victim.eclipse_suspicions(), 1u);  // one-shot, not one per tick
-  EXPECT_EQ(victim.eclipse_recoveries(), 1u);
+  // one-shot, not one per tick
+  EXPECT_EQ(victim.counters().eclipse_suspicions, 1u);
+  EXPECT_EQ(victim.counters().eclipse_recoveries, 1u);
   EXPECT_EQ(victim.peers_banned(), 0u);  // recovery drops, never bans
   EXPECT_EQ(reg.counter_value("node.eclipse.suspicions"), 1u);
   EXPECT_EQ(reg.counter_value("node.eclipse.recoveries"), 1u);

@@ -6,8 +6,11 @@
 // exact same chain state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -45,9 +48,13 @@ struct GoldenRun {
 };
 
 GoldenRun run_instrumented(bool with_faults) {
+  // The tracer is declared first so it outlives the scenario, whose
+  // destructor stops every node and each stop records a trace instant.
+  ForkScenario* clock = nullptr;
+  obs::EventTracer tracer([&clock] { return clock->loop().now(); });
   ForkScenario scenario(golden_params());
+  clock = &scenario;
   obs::Registry reg;
-  obs::EventTracer tracer([&scenario] { return scenario.loop().now(); });
   scenario.attach_telemetry(reg, &tracer);
 
   std::unique_ptr<p2p::FaultInjector> faults;
@@ -189,6 +196,98 @@ TEST(GoldenTraceTest, SameSeedMatrixSweepsFingerprintIdentically) {
   EXPECT_GT(first.cells[0].report.availability.samples, 0u);
   EXPECT_NE(first.cells[0].report.fingerprint,
             first.cells[1].report.fingerprint);
+}
+
+// Every opt-in chaos layer at once: Byzantine adversaries, an eclipse
+// swarm, cold restarts over faulty disks, and a consensus-bug client mix.
+// Their defense, fork-monitor, eclipse and durability metrics appear in a
+// registry only once they count something, so the clean golden above never
+// sees them; this one pins them.
+ChaosParams all_layers_params() {
+  ChaosParams cp;
+  cp.scenario.nodes_eth = 8;
+  cp.scenario.nodes_etc = 3;
+  cp.scenario.miners_per_side_eth = 2;
+  cp.scenario.miners_per_side_etc = 1;
+  cp.scenario.total_hashrate = 3e4;
+  cp.scenario.etc_hashpower_fraction = 0.25;
+  cp.scenario.fork_block = 6;
+  cp.scenario.funded_accounts = 4;
+  cp.scenario.seed = 20160720;
+  cp.scenario.clients.enabled = true;
+  cp.scenario.clients.onset_time = 80.0;
+  cp.scenario.clients.patch_time = 160.0;
+  cp.scenario.clients.trigger_modulus = 1;
+  cp.cut_start = -1.0;
+  cp.churn_fraction = 0.3;
+  cp.churn_start = 40.0;
+  cp.churn_end = 200.0;
+  cp.mean_downtime = 30.0;
+  cp.restart_prob = 1.0;
+  cp.cold_restart_prob = 1.0;
+  cp.storage_faults.torn_write_prob = 0.5;
+  cp.storage_faults.tail_truncate_prob = 0.5;
+  cp.storage_faults.bit_rot_prob = 0.5;
+  cp.adversaries.fraction = 0.3;
+  cp.adversaries.start = 30.0;
+  cp.adversaries.interval = 3.0;
+  cp.eclipse.budget = 32;
+  cp.eclipse.start = 30.0;
+  cp.mining_duration = 400.0;
+  cp.settle_deadline = 120.0;
+  return cp;
+}
+
+TEST(GoldenTraceTest, AllLayersPinLazilyRegisteredMetrics) {
+  const ChaosReport report = ChaosRunner(all_layers_params()).run();
+
+  std::vector<std::string> names;
+  for (const auto& [name, value] : report.telemetry.counters)
+    names.push_back(name);
+  for (const auto& [name, value] : report.telemetry.gauges)
+    names.push_back(name);
+  for (const auto& h : report.telemetry.histograms) names.push_back(h.name);
+  std::sort(names.begin(), names.end());
+  // This run never rate-limits, prechecks, evicts from a pool or suspects
+  // an eclipse, so those lazily registered names must stay absent too.
+  const std::vector<std::string> expected_names = {
+      "adversary.blocks_forged", "adversary.eclipse.lookups_answered",
+      "adversary.eclipse.rounds", "adversary.eclipse.status_floods",
+      "adversary.eclipse.table_floods", "adversary.eclipse.withheld_requests",
+      "adversary.equivocations", "adversary.phantom_announcements",
+      "adversary.rounds", "adversary.txs_spammed", "chain.blocks_produced",
+      "chain.import.already_known", "chain.import.disputed",
+      "chain.import.imported", "chain.import.invalid_body",
+      "chain.import.invalid_header", "chain.import.invalid_ommers",
+      "chain.import.unknown_parent", "chain.import.wrong_fork",
+      "chain.reorg_depth", "db.appends", "db.bytes_appended",
+      "db.recovery.blocks_replayed", "db.recovery.corrupt_records",
+      "db.recovery.records_scanned", "db.recovery.seconds", "evm.gas_used",
+      "evm.ops", "evm.txs_executed", "evm.txs_failed", "evm.txs_rejected",
+      "faults.dropped_by_cut", "faults.dropped_by_filter",
+      "faults.dropped_by_loss", "faults.duplicated", "faults.link_overrides",
+      "faults.reordered", "net.bytes_sent", "net.delay_seconds",
+      "net.dropped_detached", "net.dropped_loss", "net.messages_delivered",
+      "net.messages_sent", "node.blocks_imported", "node.cold_restarts",
+      "node.dial_attempts", "node.duplicate_block_pushes",
+      "node.fork_monitor.consensus_patches",
+      "node.fork_monitor.disputed_blocks",
+      "node.fork_monitor.divergence_events", "node.ingress.equivocations",
+      "node.ingress.invalid_cache_hits", "node.ingress.withheld",
+      "node.orphan_evictions", "node.orphan_occupancy", "node.sync_gave_up",
+      "node.sync_retries", "node.sync_timeouts", "node.txs_received",
+      "node.wasted_executions", "peers.bans", "peers.inbound_rejections",
+      "peers.liveness_drops", "peers.wrong_fork_drops",
+      "trie.hash_recomputations", "trie.node_visits", "trie.reads",
+      "trie.writes", "txpool.added", "txpool.already_known",
+      "txpool.invalid_signature", "txpool.nonce_too_low", "txpool.pool_full",
+      "txpool.replaced_existing", "txpool.size", "txpool.underpriced",
+      "txpool.wrong_chain_id"};
+  EXPECT_EQ(names, expected_names);
+
+  EXPECT_EQ(report.telemetry.fingerprint(),
+            *Hash256::from_hex("b2c6c1eaf845f4787ea81709672fd2be"
+                               "d8109b01fa73d9b292c59bd67705bf5a"));
 }
 
 // The exported Chrome trace is Perfetto-loadable: non-empty, and the

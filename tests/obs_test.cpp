@@ -194,6 +194,108 @@ TEST(ObsRegistryTest, CollectorRunsAtSnapshotTime) {
   EXPECT_EQ(reg.snapshot().counter_value("ext.count"), 42u);
 }
 
+// ------------------------------------------------------ bound fields
+
+TEST(ObsBindTest, FieldsSharingANameReportTheirSum) {
+  Registry reg;
+  std::uint64_t a = 3;
+  std::uint64_t b = 4;
+  reg.bind("shared", a);
+  reg.bind("shared", b);
+  EXPECT_EQ(reg.snapshot().counter_value("shared"), 7u);
+  ++b;
+  EXPECT_EQ(reg.snapshot().counter_value("shared"), 8u);
+}
+
+TEST(ObsBindTest, SelfGatedNameAppearsOnItsFirstEvent) {
+  Registry reg;
+  std::uint64_t evictions = 0;
+  reg.bind("lazy", evictions, &evictions);
+  EXPECT_TRUE(reg.snapshot().counters.empty());
+  EXPECT_EQ(reg.metric_count(), 0u);
+
+  ++evictions;
+  const Snapshot s = reg.snapshot();
+  ASSERT_EQ(s.counters.size(), 1u);
+  EXPECT_EQ(s.counters[0].first, "lazy");
+  EXPECT_EQ(s.counters[0].second, 1u);
+  EXPECT_EQ(reg.metric_count(), 1u);
+}
+
+TEST(ObsBindTest, GateOnAnotherFieldShowsTheNameEvenAtZero) {
+  Registry reg;
+  std::uint64_t restarts = 0;
+  std::uint64_t replayed = 0;
+  reg.bind("recovery.replayed", replayed, &restarts);
+  EXPECT_TRUE(reg.snapshot().counters.empty());
+  EXPECT_EQ(reg.counter_value("recovery.replayed"), 0u);
+
+  ++restarts;  // a restart that replayed nothing still registers the name
+  const Snapshot s = reg.snapshot();
+  ASSERT_EQ(s.counters.size(), 1u);
+  EXPECT_EQ(s.counters[0].first, "recovery.replayed");
+  EXPECT_EQ(s.counters[0].second, 0u);
+
+  replayed = 9;
+  EXPECT_EQ(reg.snapshot().counter_value("recovery.replayed"), 9u);
+}
+
+TEST(ObsBindTest, OneOpenGateShowsTheWholeSum) {
+  Registry reg;
+  std::uint64_t quiet = 0;
+  std::uint64_t busy = 0;
+  reg.bind("spam", quiet, &quiet);
+  reg.bind("spam", busy, &busy);
+  EXPECT_TRUE(reg.snapshot().counters.empty());
+  busy = 2;
+  EXPECT_EQ(reg.snapshot().counter_value("spam"), 2u);
+}
+
+TEST(ObsBindTest, CounterValueReadsTheLiveFieldWithoutASnapshot) {
+  Registry reg;
+  std::uint64_t sent = 0;
+  reg.bind("net.sent", sent);
+  EXPECT_EQ(reg.counter_value("net.sent"), 0u);
+  sent = 12;
+  EXPECT_EQ(reg.counter_value("net.sent"), 12u);
+  sent = 13;
+  EXPECT_EQ(reg.counter_value("net.sent"), 13u);
+}
+
+TEST(ObsBindTest, StoredCounterAndBoundFieldsAddUp) {
+  Registry reg;
+  std::uint64_t field = 5;
+  reg.counter("mixed").inc(2);
+  reg.bind("mixed", field);
+  EXPECT_EQ(reg.counter_value("mixed"), 7u);
+  EXPECT_EQ(reg.snapshot().counter_value("mixed"), 7u);
+
+  // a closed gate hides nothing once the name exists as a stored counter
+  std::uint64_t gate = 0;
+  std::uint64_t gated = 1;
+  reg.bind("mixed", gated, &gate);
+  EXPECT_EQ(reg.snapshot().counter_value("mixed"), 8u);
+}
+
+TEST(ObsBindTest, RepeatedSnapshotsFingerprintIdentically) {
+  Registry reg;
+  std::uint64_t a = 1;
+  std::uint64_t b = 0;
+  reg.bind("a", a);
+  reg.bind("b", b, &b);
+  reg.counter("c").inc(3);
+  const Snapshot first = reg.snapshot();
+  const Snapshot second = reg.snapshot();
+  EXPECT_EQ(first.fingerprint(), second.fingerprint());
+  EXPECT_EQ(first.to_json(), second.to_json());
+
+  // and a bound count is indistinguishable from the same stored count
+  Registry stored;
+  stored.counter("a").inc(1);
+  stored.counter("c").inc(3);
+  EXPECT_EQ(first.fingerprint(), stored.fingerprint());
+}
+
 // Snapshots (and therefore fingerprints) depend only on the metric
 // name/value sets, never on creation order.
 TEST(ObsRegistryTest, SnapshotIsInsertionOrderIndependent) {

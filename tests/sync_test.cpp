@@ -181,10 +181,11 @@ TEST(SyncTest, RapidCrashRestartCyclesLeaveNoStaleTimers) {
 
     // dead air longer than the 5s tick interval: a stale tick (or any
     // other timer from the just-ended life) would dial or gossip here
-    const std::uint64_t dials = b->dial_attempts();
+    const std::uint64_t dials = b->counters().dial_attempts;
     net.loop.run_until(net.loop.now() + 12.0);
     EXPECT_FALSE(b->running());
-    EXPECT_EQ(b->dial_attempts(), dials) << "stale timer dialed while down";
+    EXPECT_EQ(b->counters().dial_attempts, dials)
+        << "stale timer dialed while down";
   }
 
   b->start({a->id()});
