@@ -1,6 +1,7 @@
 #include "core/txpool.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace forksim::core {
 
@@ -47,17 +48,17 @@ void TxPool::attach_telemetry(obs::Registry& reg) {
   reg.bind("txpool.evicted", evictions_, &evictions_);
 }
 
-PoolAddResult TxPool::add(const Transaction& tx, const State& state,
-                          BlockNumber head_number) {
-  const PoolAddResult r = add_impl(tx, state, head_number);
+PoolAddResult TxPool::add(const Transaction& tx, const Hash256& hash,
+                          const State& state, BlockNumber head_number) {
+  assert(hash == tx.hash());
+  const PoolAddResult r = add_impl(tx, hash, state, head_number);
   obs::inc(tm_results_[static_cast<std::size_t>(r)]);
   obs::set(tm_size_, static_cast<double>(by_hash_.size()));
   return r;
 }
 
-PoolAddResult TxPool::add_impl(const Transaction& tx, const State& state,
-                               BlockNumber head_number) {
-  const Hash256 hash = tx.hash();
+PoolAddResult TxPool::add_impl(const Transaction& tx, const Hash256& hash,
+                               const State& state, BlockNumber head_number) {
   if (by_hash_.contains(hash)) return PoolAddResult::kAlreadyKnown;
 
   const auto sender = tx.sender();

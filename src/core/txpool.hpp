@@ -47,7 +47,15 @@ class TxPool {
 
   /// Validate against `state` at height `head_number` and admit.
   PoolAddResult add(const Transaction& tx, const State& state,
-                    BlockNumber head_number);
+                    BlockNumber head_number) {
+    return add(tx, tx.hash(), state, head_number);
+  }
+
+  /// The same admission for a caller that already holds the transaction's
+  /// hash (gossip hashes each received transaction once and reuses it).
+  /// `hash` must be `tx.hash()`; builds without NDEBUG assert it.
+  PoolAddResult add(const Transaction& tx, const Hash256& hash,
+                    const State& state, BlockNumber head_number);
 
   bool contains(const Hash256& tx_hash) const {
     return by_hash_.contains(tx_hash);
@@ -89,8 +97,8 @@ class TxPool {
   void attach_telemetry(obs::Registry& reg);
 
  private:
-  PoolAddResult add_impl(const Transaction& tx, const State& state,
-                         BlockNumber head_number);
+  PoolAddResult add_impl(const Transaction& tx, const Hash256& hash,
+                         const State& state, BlockNumber head_number);
 
   struct Entry {
     Transaction tx;

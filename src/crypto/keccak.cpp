@@ -9,6 +9,8 @@ namespace {
 
 constexpr std::size_t kRate = 136;  // 1088-bit rate for Keccak-256
 
+thread_local std::uint64_t t_permutations = 0;
+
 constexpr std::uint64_t kRoundConstants[24] = {
     0x0000000000000001ull, 0x0000000000008082ull, 0x800000000000808aull,
     0x8000000080008000ull, 0x000000000000808bull, 0x0000000080000001ull,
@@ -45,6 +47,7 @@ inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
 // Every inner loop has a constant trip count and is unrolled explicitly, so
 // the permutation is straight-line code at -O2 as well as at -O3.
 void keccak_f1600(std::uint64_t a[25]) noexcept {
+  ++t_permutations;
   for (int round = 0; round < 24; ++round) {
     // theta
     const std::uint64_t c0 = a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20];
@@ -151,6 +154,8 @@ Hash256 Keccak256::digest() noexcept {
     out[i] = static_cast<std::uint8_t>((state_[i / 8] >> (8 * (i % 8))) & 0xff);
   return out;
 }
+
+std::uint64_t keccak_permutations() noexcept { return t_permutations; }
 
 Hash256 keccak256(BytesView data) {
   Keccak256 h;

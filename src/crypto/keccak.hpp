@@ -13,6 +13,13 @@ Hash256 keccak256(BytesView data);
 /// Convenience overload for string payloads.
 Hash256 keccak256(std::string_view data);
 
+/// Keccak-f[1600] permutations run on the calling thread so far: one per
+/// absorbed 136-byte block, so a digest of n bytes costs n / 136 + 1.
+/// Always on, like trie::counters(): a plain increment, no Rng draws. It is
+/// bound into no obs::Registry, so run fingerprints never see it; measure
+/// work as the difference of two reads.
+std::uint64_t keccak_permutations() noexcept;
+
 /// Incremental hasher for streaming input.
 class Keccak256 {
  public:

@@ -375,6 +375,10 @@ void FullNode::send(const NodeId& to, const Message& msg) {
   network_.send(id_, to, encode_message(msg));
 }
 
+void FullNode::send_wire(const NodeId& to, const Bytes& wire) {
+  network_.send(id_, to, wire);
+}
+
 void FullNode::on_message(const NodeId& from, const Bytes& wire) {
   if (!running_) return;
   auto msg = decode_message(wire);
@@ -808,16 +812,22 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
             peers_.note_spam(from);
             return;
           }
-          std::vector<core::Transaction> fresh;
+          // each transaction is hashed once here; the pool and the relay
+          // reuse that hash
+          Transactions fresh;
+          std::vector<Hash256> fresh_hashes;
           std::size_t junk = 0;
           for (const core::Transaction& tx : m.transactions) {
-            if (session) session->mark_known(tx.hash());
+            const Hash256 hash = tx.hash();
+            if (session) session->mark_known(hash);
             const auto result =
-                pool_.add(tx, chain_.head_state(), chain_.height());
+                pool_.add(tx, hash, chain_.head_state(), chain_.height());
             ++counters_.txs_received;
             if (result == core::PoolAddResult::kAdded ||
-                result == core::PoolAddResult::kReplacedExisting)
-              fresh.push_back(tx);
+                result == core::PoolAddResult::kReplacedExisting) {
+              fresh.transactions.push_back(tx);
+              fresh_hashes.push_back(hash);
+            }
             // hard rejects only: duplicates and nonce races happen between
             // honest gossipers, piles of invalid transactions do not
             if (result == core::PoolAddResult::kInvalidSignature ||
@@ -827,7 +837,8 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
           }
           if (hardened() && junk >= options_.hardening.tx_junk_threshold)
             peers_.note_garbage(from);  // a spam batch, not a gossip race
-          if (!fresh.empty()) relay_transactions(fresh, from);
+          if (!fresh.transactions.empty())
+            relay_transactions(std::move(fresh), fresh_hashes, from);
         } else {
           // discovery / session messages never reach here
         }
@@ -985,39 +996,64 @@ void FullNode::relay_block(const core::Block& block, bool became_head) {
   }
   auto [push, announce] =
       split_for_gossip(std::move(targets), options_.gossip, rng_);
-  const U256 td = chain_.total_difficulty_of(hash);
-  for (const NodeId& peer : push) {
-    peers_.session(peer)->mark_known(hash);
-    send(peer, Message{NewBlock{block, td}});
+  // one encoding per message kind, shared by every peer that gets it
+  if (!push.empty()) {
+    const U256 td = chain_.total_difficulty_of(hash);
+    const Bytes wire = encode_message(Message{NewBlock{block, td}});
+    for (const NodeId& peer : push) {
+      peers_.session(peer)->mark_known(hash);
+      send_wire(peer, wire);
+    }
   }
-  for (const NodeId& peer : announce) {
-    peers_.session(peer)->mark_known(hash);
-    send(peer, Message{NewBlockHashes{{hash}}});
+  if (!announce.empty()) {
+    const Bytes wire = encode_message(Message{NewBlockHashes{{hash}}});
+    for (const NodeId& peer : announce) {
+      peers_.session(peer)->mark_known(hash);
+      send_wire(peer, wire);
+    }
   }
 }
 
-void FullNode::relay_transactions(const std::vector<core::Transaction>& txs,
+void FullNode::relay_transactions(Transactions batch,
+                                  const std::vector<Hash256>& hashes,
                                   const std::optional<NodeId>& skip) {
+  const Message full{std::move(batch)};
+  const std::vector<core::Transaction>& txs =
+      std::get<Transactions>(full).transactions;
+  // Every peer that knows none of the batch gets the same bytes, so the
+  // batch is encoded at most once; a peer that already knows some of it
+  // gets its own encoding of the rest.
+  std::optional<Bytes> full_wire;
+  std::vector<std::size_t> unknown;
   for (const NodeId& peer : peers_.active_peers()) {
     if (skip && peer == *skip) continue;
     PeerSession* session = peers_.session(peer);
     if (session == nullptr) continue;
-    Transactions batch;
-    for (const core::Transaction& tx : txs) {
-      const Hash256 h = tx.hash();
-      if (session->knows(h)) continue;
-      session->mark_known(h);
-      batch.transactions.push_back(tx);
+    unknown.clear();
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+      if (session->knows(hashes[i])) continue;
+      session->mark_known(hashes[i]);
+      unknown.push_back(i);
     }
-    if (!batch.transactions.empty()) send(peer, Message{std::move(batch)});
+    if (unknown.empty()) continue;
+    if (unknown.size() == txs.size()) {
+      if (!full_wire) full_wire = encode_message(full);
+      send_wire(peer, *full_wire);
+    } else {
+      Transactions rest;
+      for (const std::size_t i : unknown) rest.transactions.push_back(txs[i]);
+      send(peer, Message{std::move(rest)});
+    }
   }
 }
 
 core::PoolAddResult FullNode::submit_transaction(const core::Transaction& tx) {
-  const auto result = pool_.add(tx, chain_.head_state(), chain_.height());
+  const Hash256 hash = tx.hash();
+  const auto result =
+      pool_.add(tx, hash, chain_.head_state(), chain_.height());
   if (result == core::PoolAddResult::kAdded ||
       result == core::PoolAddResult::kReplacedExisting)
-    relay_transactions({tx}, std::nullopt);
+    relay_transactions(Transactions{{tx}}, {hash}, std::nullopt);
   return result;
 }
 

@@ -349,9 +349,15 @@ class FullNode {
   void on_fetch_timeout(const Hash256& head, std::uint64_t token);
   void resolve_fetch(const Hash256& hash);
   void relay_block(const core::Block& block, bool became_head);
-  void relay_transactions(const std::vector<core::Transaction>& txs,
+  /// Gossip `batch` to every active peer but `skip`, each peer getting the
+  /// transactions it does not know yet. `hashes[i]` is the hash of
+  /// `batch.transactions[i]`.
+  void relay_transactions(p2p::Transactions batch,
+                          const std::vector<Hash256>& hashes,
                           const std::optional<p2p::NodeId>& skip);
   void send(const p2p::NodeId& to, const p2p::Message& msg);
+  /// send() for an already-encoded message.
+  void send_wire(const p2p::NodeId& to, const Bytes& wire);
 
   /// chain_.import plus durability: imported blocks are appended to the
   /// attached store (skipped while a recovery replay is re-reading them).

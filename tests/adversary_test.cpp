@@ -340,6 +340,46 @@ TEST(AdversaryBaselineTest, UnhardenedNodeRevalidatesEveryRepush) {
   EXPECT_TRUE(victim.peers().ever_banned(attacker_host.id()));
 }
 
+// The hardened Transactions rate limit, end to end: a spam batch bigger
+// than the per-peer tx burst is dropped whole at the door, before any of
+// it is counted or pooled, and each drop is a spam demerit on the sender.
+TEST(AdversaryBaselineTest, HardenedTxRateLimitDropsOversizedSpamBatches) {
+  p2p::EventLoop loop;
+  p2p::Network network(loop, Rng(5), LatencyModel{0.01, 0.0, 0.0, 0.0});
+  evm::EvmExecutor executor;
+  NodeOptions options;
+  options.genesis_difficulty = U256(100'000);
+  options.hardening.enabled = true;
+  options.hardening.tx_burst = 16.0;
+  FullNode victim(network, test_id(1), core::ChainConfig::mainnet_pre_fork(),
+                  executor, core::GenesisAlloc{}, Rng(1), options);
+  FullNode attacker_host(network, test_id(2),
+                         core::ChainConfig::mainnet_pre_fork(), executor,
+                         core::GenesisAlloc{}, Rng(2), options);
+  victim.start({});
+  attacker_host.start({victim.id()});
+  loop.run_until(30.0);
+  ASSERT_NE(victim.peers().session(attacker_host.id()), nullptr);
+
+  AdversaryOptions opt;
+  opt.kind = AdversaryKind::kTxSpammer;
+  opt.interval = 5.0;
+  // every batch is larger than the bucket can ever hold
+  ASSERT_GT(static_cast<double>(opt.spam_batch), options.hardening.tx_burst);
+  Adversary adv(attacker_host, opt, Rng(9));
+  adv.start();
+  loop.run_until(60.0);
+  adv.stop();
+
+  EXPECT_GT(adv.counters().txs_spammed, 0u);
+  EXPECT_GT(victim.counters().rate_limited, 0u);
+  // the attacker is the victim's only peer, so every demerit is its own
+  EXPECT_EQ(victim.peers().spam_penalties(), victim.counters().rate_limited);
+  // nothing from a dropped batch reached the pool or the receive count
+  EXPECT_EQ(victim.counters().txs_received, 0u);
+  EXPECT_EQ(victim.txpool().size(), 0u);
+}
+
 // Validity disagreement is not misbehavior — the client-diversity layer's
 // core guarantee. A peer serving blocks that are valid under its own rules
 // but disputed by the receiver's buggy quirk must never feed the ban

@@ -463,5 +463,70 @@ TEST_F(TxPoolTest, UnderpricedRejected) {
   EXPECT_EQ(pool.add(tx, state_, 1), PoolAddResult::kUnderpriced);
 }
 
+// add(tx, tx.hash(), ...) is the admission add(tx, ...) runs: driven in
+// lockstep through every outcome, two pools give the same result at each
+// step and end with the same contents.
+TEST_F(TxPoolTest, PrecomputedHashAdmitsExactlyLikeTheHashingAdd) {
+  config_.chain_id = 61;
+  config_.eip155_block = 100;
+  const PrivateKey carol = PrivateKey::from_seed(3);
+  state_.set_nonce(derive_address(carol), 5);
+  TxPool::Options opts;
+  opts.capacity = 3;
+  TxPool hashing(config_, opts);
+  TxPool precomputed(config_, opts);
+
+  const Address to = derive_address(kBob);
+  struct Step {
+    Transaction tx;
+    PoolAddResult expected;
+  };
+  const Transaction a0 =
+      make_transaction(kAlice, 0, to, ether(1), std::nullopt, gwei(20));
+  const std::vector<Step> steps = {
+      {a0, PoolAddResult::kAdded},
+      {a0, PoolAddResult::kAlreadyKnown},
+      {make_transaction(kAlice, 0, to, ether(2), std::nullopt, gwei(20)),
+       PoolAddResult::kUnderpriced},
+      {make_transaction(kAlice, 0, to, ether(3), std::nullopt, gwei(40)),
+       PoolAddResult::kReplacedExisting},
+      {make_transaction(carol, 3, to, ether(1), std::nullopt, gwei(20)),
+       PoolAddResult::kNonceTooLow},
+      {make_transaction(kBob, 0, to, ether(1), /*chain_id=*/1, gwei(20)),
+       PoolAddResult::kWrongChainId},
+      {make_transaction(kBob, 0, to, ether(1), std::nullopt, gwei(10)),
+       PoolAddResult::kAdded},
+      {make_transaction(kBob, 1, to, ether(1), std::nullopt, gwei(10)),
+       PoolAddResult::kAdded},
+      // full, and nothing strictly cheaper to evict
+      {make_transaction(kAlice, 1, to, ether(1), std::nullopt, gwei(5)),
+       PoolAddResult::kPoolFull},
+      // full, and a strictly cheaper entry makes room
+      {make_transaction(kAlice, 1, to, ether(1), std::nullopt, gwei(50)),
+       PoolAddResult::kAdded},
+  };
+
+  auto sorted_hashes = [](const TxPool& pool) {
+    auto hs = pool.hashes();
+    std::sort(hs.begin(), hs.end());
+    return hs;
+  };
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Transaction& tx = steps[i].tx;
+    EXPECT_EQ(hashing.add(tx, state_, 100), steps[i].expected);
+    EXPECT_EQ(precomputed.add(tx, tx.hash(), state_, 100), steps[i].expected);
+    EXPECT_EQ(sorted_hashes(hashing), sorted_hashes(precomputed));
+    EXPECT_EQ(hashing.evictions(), precomputed.evictions());
+  }
+  EXPECT_EQ(precomputed.evictions(), 1u);
+
+  const auto a = hashing.collect(10, state_);
+  const auto b = precomputed.collect(10, state_);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(a[i].hash(), b[i].hash());
+}
+
 }  // namespace
 }  // namespace forksim::core

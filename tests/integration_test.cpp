@@ -4,9 +4,13 @@
 // detector against real cross-chain transaction replay.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "analysis/echo.hpp"
 #include "core/receipt.hpp"
+#include "crypto/keccak.hpp"
 #include "evm/executor.hpp"
+#include "p2p/faults.hpp"
 #include "sim/miner.hpp"
 #include "sim/node.hpp"
 #include "sim/scenario.hpp"
@@ -259,6 +263,179 @@ TEST(EchoDetectorTest, DuplicateObservationsNotDoubleCounted) {
   det.observe(analysis::Chain::kEtc, t, 3.0);
   det.observe(analysis::Chain::kEtc, t, 4.0);  // echo already recorded
   EXPECT_EQ(det.total_echoes(), 1u);
+}
+
+// ------------------------------------------------- transaction relay
+
+// A star around one relay node: each leaf peers with the relay only, so a
+// batch a leaf hands the relay is received once by the relay and once by
+// every other leaf, and goes no further.
+class RelayStar {
+ public:
+  RelayStar() : network_(loop_, Rng(31), LatencyModel{0.01, 0.0, 0.0, 0.0}) {
+    NodeOptions options;
+    options.genesis_difficulty = U256(100'000);
+    relay_ = std::make_unique<FullNode>(
+        network_, keccak256(std::string_view("relay")),
+        core::ChainConfig::mainnet_pre_fork(), executor_,
+        core::GenesisAlloc{}, Rng(1), options);
+    relay_->start({});
+  }
+
+  FullNode& relay() { return *relay_; }
+  FullNode& leaf(std::size_t i) { return *leaves_.at(i); }
+  p2p::EventLoop& loop() { return loop_; }
+  p2p::Network& network() { return network_; }
+
+  void add_leaves(std::size_t count) {
+    NodeOptions options;
+    options.genesis_difficulty = U256(100'000);
+    options.max_peers = 1;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string name = "leaf" + std::to_string(leaves_.size());
+      leaves_.push_back(std::make_unique<FullNode>(
+          network_, keccak256(std::string_view(name)),
+          core::ChainConfig::mainnet_pre_fork(), executor_,
+          core::GenesisAlloc{}, Rng(100 + leaves_.size()), options));
+      leaves_.back()->start({relay_->id()});
+    }
+  }
+
+  /// `leaf(from)` puts `txs` on the wire to the relay as one Transactions
+  /// message, as a peer relaying gossip would.
+  void hand_to_relay(std::size_t from, std::vector<core::Transaction> txs) {
+    network_.send(leaf(from).id(), relay_->id(),
+                  p2p::encode_message(p2p::Message{
+                      p2p::Transactions{std::move(txs)}}));
+  }
+
+  std::uint64_t txs_received() const {
+    std::uint64_t n = relay_->txs_received();
+    for (const auto& leaf : leaves_) n += leaf->txs_received();
+    return n;
+  }
+
+ private:
+  p2p::EventLoop loop_;
+  p2p::Network network_;
+  evm::EvmExecutor executor_;
+  std::unique_ptr<FullNode> relay_;
+  std::vector<std::unique_ptr<FullNode>> leaves_;
+};
+
+std::vector<core::Transaction> transfer_batch(std::size_t count) {
+  const PrivateKey key = PrivateKey::from_seed(77);
+  std::vector<core::Transaction> txs;
+  for (std::uint64_t nonce = 0; nonce < count; ++nonce)
+    txs.push_back(core::make_transaction(
+        key, nonce, derive_address(PrivateKey::from_seed(78)),
+        core::ether(1), std::nullopt));
+  return txs;
+}
+
+/// A node ticks (and may start discovery lookups) every 5 s from its
+/// start. The star's nodes all start at multiples of 5 s and take batches
+/// midway between ticks, so a batch crosses the star with no other traffic
+/// on the wire.
+constexpr double kBetweenTicks = 32.5;
+
+struct RelayCost {
+  std::uint64_t permutations = 0;
+  std::uint64_t received = 0;
+};
+
+/// Keccak-f permutations the whole star spends while a k-transaction batch
+/// from leaf 0 crosses a relay with `peers` sessions.
+RelayCost relay_cost(std::size_t peers, std::size_t k) {
+  RelayStar star;
+  star.add_leaves(peers);
+  star.loop().run_until(kBetweenTicks);
+  EXPECT_EQ(star.relay().peers().active_count(), peers);
+  const std::vector<core::Transaction> txs = transfer_batch(k);
+  const std::uint64_t permutations = keccak_permutations();
+  const std::uint64_t received = star.txs_received();
+  star.hand_to_relay(0, txs);
+  star.loop().run_until(star.loop().now() + 0.03);
+  return {keccak_permutations() - permutations,
+          star.txs_received() - received};
+}
+
+// Each node hashes a received transaction once, whatever its peer count:
+// relaying to more peers costs no more Keccak work per received copy.
+TEST(TxRelayTest, KeccakWorkPerReceivedTxIsIndependentOfPeerCount) {
+  constexpr std::size_t k = 8;
+  const RelayCost two = relay_cost(2, k);
+  const RelayCost six = relay_cost(6, k);
+  // the relay and every other leaf each received the batch once
+  EXPECT_EQ(two.received, 2 * k);
+  EXPECT_EQ(six.received, 6 * k);
+  ASSERT_GT(two.permutations, 0u);
+  EXPECT_EQ(two.permutations * six.received, six.permutations * two.received);
+}
+
+// A peer that already knows part of a relayed batch gets only the rest;
+// every other peer gets the one encoding of the whole batch, and the
+// network counts the same messages and bytes as one encoding per peer.
+TEST(TxRelayTest, PartlyInformedPeerGetsTheRestOthersShareOneEncoding) {
+  RelayStar star;
+  star.add_leaves(2);  // leaf 0 hands over the batch, leaf 1 knows part
+  star.loop().run_until(kBetweenTicks);
+  ASSERT_EQ(star.relay().peers().active_count(), 2u);
+
+  const std::vector<core::Transaction> batch = transfer_batch(5);
+  const std::vector<core::Transaction> known = {batch[1], batch[3]};
+  const std::vector<core::Transaction> rest = {batch[0], batch[2], batch[4]};
+  // leaf 1 tells the relay two of the transactions; the relay then loses
+  // its mempool, so the whole batch is fresh to it again later
+  star.hand_to_relay(1, known);
+  star.loop().run_until(kBetweenTicks + 2.5);  // back on the 5 s grid
+  ASSERT_TRUE(star.relay().txpool().contains(batch[1].hash()));
+  star.relay().txpool().clear();
+  star.add_leaves(3);  // these know nothing
+  star.loop().run_until(kBetweenTicks + 30.0);
+  ASSERT_EQ(star.relay().peers().active_count(), 5u);
+
+  // record the transaction gossip the relay puts on the wire
+  std::unordered_map<p2p::NodeId, std::vector<Bytes>, p2p::NodeIdHasher> sent;
+  p2p::FaultInjector tap(star.loop(), Rng(3));
+  tap.set_drop_filter([&](const p2p::NodeId& from, const p2p::NodeId& to,
+                          const Bytes& wire) {
+    const auto msg = p2p::decode_message(wire);
+    if (from == star.relay().id() && msg &&
+        std::holds_alternative<p2p::Transactions>(*msg))
+      sent[to].push_back(wire);
+    return false;
+  });
+  tap.attach_to(star.network());
+
+  star.hand_to_relay(0, batch);
+  const std::uint64_t messages = star.network().messages_sent();
+  const std::uint64_t bytes = star.network().bytes_sent();
+  // the relay forwards at +0.01 s; the leaves receive at +0.02 s
+  star.loop().run_until(star.loop().now() + 0.015);
+  p2p::FaultInjector::detach_from(star.network());
+  const std::uint64_t relay_messages =
+      star.network().messages_sent() - messages;
+  const std::uint64_t relay_bytes = star.network().bytes_sent() - bytes;
+
+  const Bytes whole = p2p::encode_message(p2p::Transactions{batch});
+  const Bytes remainder = p2p::encode_message(p2p::Transactions{rest});
+  EXPECT_FALSE(sent.contains(star.leaf(0).id()));  // the sender is skipped
+  ASSERT_EQ(sent[star.leaf(1).id()].size(), 1u);
+  EXPECT_EQ(sent[star.leaf(1).id()][0], remainder);
+  for (std::size_t i = 2; i < 5; ++i) {
+    ASSERT_EQ(sent[star.leaf(i).id()].size(), 1u);
+    EXPECT_EQ(sent[star.leaf(i).id()][0], whole);
+  }
+  EXPECT_EQ(relay_messages, 4u);
+  EXPECT_EQ(relay_bytes, remainder.size() + 3 * whole.size());
+
+  star.loop().run_until(star.loop().now() + 1.0);
+  EXPECT_EQ(star.leaf(1).txpool().size(), rest.size());
+  for (const core::Transaction& tx : known)
+    EXPECT_FALSE(star.leaf(1).txpool().contains(tx.hash()));
+  for (std::size_t i = 2; i < 5; ++i)
+    EXPECT_EQ(star.leaf(i).txpool().size(), batch.size());
 }
 
 }  // namespace
