@@ -5,23 +5,9 @@
 
 namespace forksim::core {
 
-std::string to_string(PoolAddResult r) {
-  switch (r) {
-    case PoolAddResult::kAdded: return "added";
-    case PoolAddResult::kAlreadyKnown: return "already known";
-    case PoolAddResult::kInvalidSignature: return "invalid signature";
-    case PoolAddResult::kWrongChainId: return "wrong chain id";
-    case PoolAddResult::kNonceTooLow: return "nonce too low";
-    case PoolAddResult::kUnderpriced: return "underpriced";
-    case PoolAddResult::kPoolFull: return "pool full";
-    case PoolAddResult::kReplacedExisting: return "replaced existing";
-  }
-  return "unknown";
-}
-
 namespace {
 
-/// Metric-name slug per admission outcome (to_string() is for humans).
+/// Metric-name slug per admission outcome.
 const char* result_slug(PoolAddResult r) {
   switch (r) {
     case PoolAddResult::kAdded: return "added";

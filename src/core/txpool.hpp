@@ -30,8 +30,6 @@ enum class PoolAddResult {
   kReplacedExisting,  // same sender+nonce with a better price
 };
 
-std::string to_string(PoolAddResult r);
-
 class TxPool {
  public:
   struct Options {

@@ -31,18 +31,6 @@ std::optional<std::vector<Hash256>> parse_hashes(const rlp::Item& item,
 
 }  // namespace
 
-std::string_view to_string(DisconnectReason r) {
-  switch (r) {
-    case DisconnectReason::kRequested: return "requested";
-    case DisconnectReason::kUselessPeer: return "useless peer";
-    case DisconnectReason::kBreachOfProtocol: return "breach of protocol";
-    case DisconnectReason::kIncompatibleNetwork: return "incompatible network";
-    case DisconnectReason::kWrongFork: return "wrong fork";
-    case DisconnectReason::kTooManyPeers: return "too many peers";
-  }
-  return "unknown";
-}
-
 Bytes encode_message(const Message& msg) {
   rlp::Item item = std::visit(
       [](const auto& m) -> rlp::Item {

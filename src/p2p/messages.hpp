@@ -104,8 +104,6 @@ enum class DisconnectReason : std::uint8_t {
   kTooManyPeers = 4,
 };
 
-std::string_view to_string(DisconnectReason r);
-
 struct Disconnect {
   DisconnectReason reason = DisconnectReason::kRequested;
 };

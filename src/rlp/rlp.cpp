@@ -151,17 +151,6 @@ Bytes wrap_list(BytesView encoded_payload) {
   return out;
 }
 
-std::string to_string(DecodeError e) {
-  switch (e) {
-    case DecodeError::kTruncated: return "truncated input";
-    case DecodeError::kTrailingBytes: return "trailing bytes";
-    case DecodeError::kNonCanonical: return "non-canonical encoding";
-    case DecodeError::kLengthOverflow: return "length overflow";
-    case DecodeError::kTooDeep: return "nesting too deep";
-  }
-  return "unknown";
-}
-
 DecodeResult decode(BytesView input) {
   BytesView cursor = input;
   DecodeResult result = decode_one(cursor, 0);

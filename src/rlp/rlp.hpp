@@ -77,8 +77,6 @@ enum class DecodeError {
 /// a crafted input trying to exhaust the recursive decoder's stack.
 inline constexpr std::size_t kMaxDepth = 64;
 
-std::string to_string(DecodeError e);
-
 struct DecodeResult {
   std::optional<Item> item;
   std::optional<DecodeError> error;

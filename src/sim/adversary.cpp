@@ -9,16 +9,6 @@ namespace forksim::sim {
 
 using namespace p2p;
 
-std::string_view to_string(AdversaryKind k) {
-  switch (k) {
-    case AdversaryKind::kInvalidForger: return "invalid-forger";
-    case AdversaryKind::kWithholder: return "withholder";
-    case AdversaryKind::kTxSpammer: return "tx-spammer";
-    case AdversaryKind::kEquivocator: return "equivocator";
-  }
-  return "unknown";
-}
-
 Adversary::Adversary(FullNode& host, AdversaryOptions options, Rng rng)
     : host_(host), options_(options), rng_(rng) {
   spam_keys_.reserve(options_.spam_accounts);

@@ -40,8 +40,6 @@ enum class AdversaryKind {
   kEquivocator,
 };
 
-std::string_view to_string(AdversaryKind k);
-
 /// Which defect a forged block carries — each targets a different stage of
 /// the victim's ingress pipeline.
 enum class ForgeDefect {

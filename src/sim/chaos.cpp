@@ -5,7 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "crypto/keccak.hpp"
 
@@ -42,7 +42,6 @@ void ChaosParams::validate() const {
   require_prob(extra_loss, "extra_loss");
   require_prob(duplicate_prob, "duplicate_prob");
   require_prob(reorder_prob, "reorder_prob");
-  require_non_negative(reorder_delay, "reorder_delay");
   // negative cut_start is the documented "no cut" flag; the duration and
   // share must make sense regardless, so enabling the cut later can't
   // surface a latent nonsense value
@@ -146,37 +145,29 @@ AvailabilityStats summarize_availability(
 
 namespace {
 
-// An attack run hardens every honest node; an adversary-free run must leave
-// the scenario params untouched so its behavior (and fingerprints) match
-// builds without the Byzantine layer.
-ChaosParams apply_adversary_hardening(ChaosParams p) {
+// Validation runs before any member that could do work is built, so a bad
+// sweep config fails at construction with a named field, not mid-run. An
+// attack run then hardens every honest node, and an eclipse run with
+// defenses switches their eclipse-resistance stack on; any other run
+// leaves the scenario params untouched, so its fingerprints match builds
+// without those layers.
+ChaosParams prepared(ChaosParams p) {
+  p.validate();
   if (p.adversaries.fraction > 0)
     p.scenario.node_options.hardening.enabled = true;
-  return p;
-}
-
-// An eclipse run with defenses requested switches every honest node's
-// eclipse-resistance stack on; a defenses-off (or eclipse-free) run leaves
-// the scenario params untouched so fingerprints match builds without the
-// eclipse layer.
-ChaosParams apply_eclipse_defenses(ChaosParams p) {
   if (p.eclipse.budget > 0 && p.eclipse.defenses)
     p.scenario.node_options.eclipse.enabled = true;
   return p;
 }
 
-// Validation runs before any member that could do work is built, so a bad
-// sweep config fails at construction with a named field, not mid-run.
-ChaosParams validated(ChaosParams p) {
-  p.validate();
-  return p;
-}
+constexpr std::array<AdversaryKind, 4> kAdversaryKinds = {
+    AdversaryKind::kInvalidForger, AdversaryKind::kWithholder,
+    AdversaryKind::kTxSpammer, AdversaryKind::kEquivocator};
 
 }  // namespace
 
 ChaosRunner::ChaosRunner(ChaosParams params)
-    : params_(apply_eclipse_defenses(
-          apply_adversary_hardening(validated(std::move(params))))),
+    : params_(prepared(std::move(params))),
       rng_(params_.scenario.seed ^ 0xc8a05f4d2b179e63ull),
       tracer_([this] { return scenario_->loop().now(); }),
       scenario_(std::make_unique<ForkScenario>(params_.scenario)) {
@@ -186,15 +177,10 @@ ChaosRunner::ChaosRunner(ChaosParams params)
   faults_->set_extra_loss(params_.extra_loss);
   faults_->set_duplicate_prob(params_.duplicate_prob);
   faults_->set_reorder_prob(params_.reorder_prob);
-  faults_->set_reorder_delay(params_.reorder_delay);
   install_cut();
-  // Host selection draws no rng, so it can run before churn (which must
-  // exempt adversary hosts) without shifting the adversary-free draw
-  // sequence; the draw-consuming install comes after churn.
-  select_adversary_hosts();
-  // Cast selection draws no rng either; it must precede churn so victims
-  // and swarm hosts can be exempted.
-  select_eclipse_cast();
+  // Casting draws no rng, so it can precede churn (which exempts every
+  // role) without shifting the draw sequence.
+  cast_roles();
   // Stores fork one disk Rng per node, so this must come before churn for a
   // stable draw order — and does nothing (zero draws) when the durability
   // layer is off.
@@ -210,6 +196,59 @@ ChaosRunner::ChaosRunner(ChaosParams params)
   for (auto& store : stores_) store->attach_telemetry(registry_);
 }
 
+std::size_t ChaosRunner::anchor_of(std::size_t i) const {
+  return scenario_->is_eth_node(i) ? 0 : params_.scenario.nodes_eth;
+}
+
+std::vector<p2p::NodeId> ChaosRunner::rejoin_bootstrap_for(
+    std::size_t i) const {
+  return {scenario_->node(anchor_of(i)).id()};
+}
+
+void ChaosRunner::cast_roles() {
+  const std::size_t n = scenario_->node_count();
+  roles_.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (anchor_of(i) == i) roles_[i] |= kAnchor;
+    for (std::size_t m = 0; m < scenario_->miner_count(); ++m)
+      if (&scenario_->miner(m).node() == &scenario_->node(i))
+        roles_[i] |= kMinerHost;
+  }
+  // Each later pick takes only nodes with no role yet, by index alone.
+  // Adversary hosts: the highest-indexed ones.
+  auto hostile = static_cast<std::size_t>(
+      std::ceil(params_.adversaries.fraction * static_cast<double>(n)));
+  for (std::size_t i = n; i-- > 0 && hostile > 0;)
+    if (roles_[i] == 0) {
+      roles_[i] = kAdversaryHost;
+      --hostile;
+    }
+  if (params_.eclipse.budget == 0) return;
+  // Eclipse victims: the lowest-indexed ETH-side ones; swarm hosts: the
+  // highest-indexed ones left (either side).
+  for (std::size_t i = 0; i < params_.scenario.nodes_eth &&
+                          eclipse_victims_.size() < params_.eclipse.victims;
+       ++i)
+    if (roles_[i] == 0) eclipse_victims_.push_back(i);
+  if (eclipse_victims_.size() < params_.eclipse.victims)
+    throw std::invalid_argument(
+        "ChaosParams::eclipse.victims: only " +
+        std::to_string(eclipse_victims_.size()) +
+        " eligible ETH-side nodes for " +
+        std::to_string(params_.eclipse.victims) + " victims");
+  for (std::size_t i : eclipse_victims_) roles_[i] = kEclipseVictim;
+  for (std::size_t i = n;
+       i-- > 0 && eclipse_hosts_.size() < eclipse_victims_.size();)
+    if (roles_[i] == 0) {
+      roles_[i] = kSwarmHost;
+      eclipse_hosts_.push_back(i);
+    }
+  if (eclipse_hosts_.size() < eclipse_victims_.size())
+    throw std::invalid_argument(
+        "ChaosParams::eclipse: not enough eligible nodes to host " +
+        std::to_string(eclipse_victims_.size()) + " sybil swarms");
+}
+
 void ChaosRunner::install_stores() {
   if (params_.cold_restart_prob <= 0) return;
   const std::size_t n = scenario_->node_count();
@@ -223,13 +262,6 @@ void ChaosRunner::install_stores() {
         *disks_.back(), "node" + std::to_string(i)));
     scenario_->node(i).attach_store(stores_.back().get());
   }
-}
-
-std::vector<p2p::NodeId> ChaosRunner::rejoin_bootstrap_for(
-    std::size_t i) const {
-  const std::size_t anchor =
-      scenario_->is_eth_node(i) ? 0 : params_.scenario.nodes_eth;
-  return {scenario_->node(anchor).id()};
 }
 
 void ChaosRunner::install_cut() {
@@ -252,54 +284,25 @@ void ChaosRunner::install_cut() {
              params_.partitioned_share * static_cast<double>(n) + 1e-9));
   cut_members_.assign(order.begin(), order.begin() + count);
   std::sort(cut_members_.begin(), cut_members_.end());
-  std::unordered_set<std::size_t> half(order.begin(), order.begin() + count);
+  std::vector<char> cut(n, 0);
+  for (std::size_t i : cut_members_) cut[i] = 1;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
-      if (half.contains(i) != half.contains(j))
+      if (cut[i] != cut[j])
         faults_->schedule_link_cut(scenario_->node(i).id(),
                                    scenario_->node(j).id(),
                                    params_.cut_start, params_.cut_duration);
 }
 
-void ChaosRunner::select_adversary_hosts() {
-  if (params_.adversaries.fraction <= 0) return;
-  const std::size_t n = scenario_->node_count();
-  std::unordered_set<const FullNode*> miner_hosts;
-  for (std::size_t m = 0; m < scenario_->miner_count(); ++m)
-    miner_hosts.insert(&scenario_->miner(m).node());
-  std::vector<std::size_t> candidates;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == 0 || i == params_.scenario.nodes_eth) continue;
-    if (miner_hosts.contains(&scenario_->node(i))) continue;
-    candidates.push_back(i);
-  }
-  // The highest-indexed eligible nodes turn hostile: deterministic without
-  // consuming any rng draws (so fraction == 0 runs replay unchanged).
-  auto count = static_cast<std::size_t>(std::ceil(
-      params_.adversaries.fraction * static_cast<double>(n)));
-  count = std::min(count, candidates.size());
-  for (std::size_t k = 0; k < count; ++k)
-    adversary_hosts_.insert(candidates[candidates.size() - 1 - k]);
-}
-
 void ChaosRunner::install_churn() {
-  const std::size_t n = scenario_->node_count();
-  // exempt the bootstrap anchors (first node on each side), miner hosts,
-  // adversary hosts (an attacker that crashes is no test of defenses), and
-  // the eclipse cast (the runner schedules the victim's reboot itself)
-  std::unordered_set<const FullNode*> hosts;
-  for (std::size_t m = 0; m < scenario_->miner_count(); ++m)
-    hosts.insert(&scenario_->miner(m).node());
+  // churn hits only role-free nodes: anchors and miner hosts are the
+  // network's stable core, an attacker that crashes is no test of defenses,
+  // and the runner schedules an eclipse victim's reboot itself
   std::vector<std::size_t> candidates;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == 0 || i == params_.scenario.nodes_eth) continue;
-    if (hosts.contains(&scenario_->node(i))) continue;
-    if (adversary_hosts_.contains(i)) continue;
-    if (eclipse_protected_.contains(i)) continue;
-    candidates.push_back(i);
-  }
-  const auto count = static_cast<std::size_t>(
-      std::ceil(params_.churn_fraction * static_cast<double>(n)));
+  for (std::size_t i = 0; i < roles_.size(); ++i)
+    if (roles_[i] == 0) candidates.push_back(i);
+  const auto count = static_cast<std::size_t>(std::ceil(
+      params_.churn_fraction * static_cast<double>(roles_.size())));
   churn_ = p2p::ChurnSchedule::sample(
       rng_, std::move(candidates), count, params_.churn_start,
       params_.churn_end, params_.mean_downtime, params_.restart_prob);
@@ -319,9 +322,6 @@ void ChaosRunner::install_churn() {
       FullNode& node = scenario_->node(ev.node_index);
       if (ev.up) {
         if (node.running()) return;
-        // rejoin through the node's own side's anchor: a post-fork restart
-        // should pull toward its network, not burn dials on peers that
-        // will DAO-challenge it away
         const std::vector<p2p::NodeId> rejoin =
             rejoin_bootstrap_for(ev.node_index);
         if (is_cold) {
@@ -351,78 +351,24 @@ void ChaosRunner::install_churn() {
 }
 
 void ChaosRunner::install_adversaries() {
-  if (adversary_hosts_.empty()) return;
-  const auto& mix = params_.adversaries;
-  std::vector<AdversaryKind> kinds;
-  if (mix.forgers) kinds.push_back(AdversaryKind::kInvalidForger);
-  if (mix.withholders) kinds.push_back(AdversaryKind::kWithholder);
-  if (mix.spammers) kinds.push_back(AdversaryKind::kTxSpammer);
-  if (mix.equivocators) kinds.push_back(AdversaryKind::kEquivocator);
-  if (kinds.empty()) kinds.push_back(AdversaryKind::kInvalidForger);
-
-  std::vector<std::size_t> ordered(adversary_hosts_.begin(),
-                                   adversary_hosts_.end());
-  std::sort(ordered.begin(), ordered.end());
   auto& loop = scenario_->loop();
-  std::size_t k = 0;
-  for (std::size_t idx : ordered) {
+  for (std::size_t i = 0; i < roles_.size(); ++i) {
+    if (honest(i)) continue;
     AdversaryOptions opt;
-    opt.kind = kinds[k++ % kinds.size()];
-    opt.interval = mix.interval;
-    auto adv = std::make_unique<Adversary>(scenario_->node(idx), opt,
-                                           rng_.fork());
+    opt.kind = kAdversaryKinds[adversaries_.size() % kAdversaryKinds.size()];
+    opt.interval = params_.adversaries.interval;
+    auto adv =
+        std::make_unique<Adversary>(scenario_->node(i), opt, rng_.fork());
     Adversary* raw = adv.get();
     // first attack round fires at start + interval
-    loop.schedule(mix.start, [raw] { raw->start(); });
+    loop.schedule(params_.adversaries.start, [raw] { raw->start(); });
     adversaries_.push_back(std::move(adv));
   }
-}
-
-void ChaosRunner::select_eclipse_cast() {
-  if (params_.eclipse.budget == 0) return;
-  const std::size_t n = scenario_->node_count();
-  std::unordered_set<const FullNode*> miner_hosts;
-  for (std::size_t m = 0; m < scenario_->miner_count(); ++m)
-    miner_hosts.insert(&scenario_->miner(m).node());
-  const auto eligible = [&](std::size_t i) {
-    if (i == 0 || i == params_.scenario.nodes_eth) return false;  // anchors
-    if (miner_hosts.contains(&scenario_->node(i))) return false;
-    if (adversary_hosts_.contains(i)) return false;
-    return true;
-  };
-  // Victims: the lowest-indexed eligible ETH-side nodes; swarm hosts: the
-  // highest-indexed eligible nodes (either side). Both picks are
-  // deterministic and draw-free, mirroring select_adversary_hosts.
-  for (std::size_t i = 0;
-       i < params_.scenario.nodes_eth &&
-       eclipse_victims_.size() < params_.eclipse.victims;
-       ++i)
-    if (eligible(i)) eclipse_victims_.push_back(i);
-  if (eclipse_victims_.size() < params_.eclipse.victims)
-    throw std::invalid_argument(
-        "ChaosParams::eclipse.victims: only " +
-        std::to_string(eclipse_victims_.size()) +
-        " eligible ETH-side nodes for " +
-        std::to_string(params_.eclipse.victims) + " victims");
-  std::unordered_set<std::size_t> victim_set(eclipse_victims_.begin(),
-                                             eclipse_victims_.end());
-  for (std::size_t i = n; i-- > 0 &&
-                          eclipse_hosts_.size() < eclipse_victims_.size();)
-    if (eligible(i) && !victim_set.contains(i)) eclipse_hosts_.push_back(i);
-  if (eclipse_hosts_.size() < eclipse_victims_.size())
-    throw std::invalid_argument(
-        "ChaosParams::eclipse: not enough eligible nodes to host " +
-        std::to_string(eclipse_victims_.size()) + " sybil swarms");
-  for (std::size_t i : eclipse_victims_) eclipse_protected_.insert(i);
-  for (std::size_t i : eclipse_hosts_) eclipse_protected_.insert(i);
-  isolation_seconds_.assign(eclipse_victims_.size(), 0.0);
 }
 
 void ChaosRunner::install_eclipse() {
   if (eclipse_victims_.empty()) return;
   auto& loop = scenario_->loop();
-  const std::size_t n = scenario_->node_count();
-
   for (std::size_t v = 0; v < eclipse_victims_.size(); ++v) {
     EclipseOptions opt;
     opt.victim = scenario_->node(eclipse_victims_[v]).id();
@@ -434,28 +380,30 @@ void ChaosRunner::install_eclipse() {
     eclipse_adversaries_.push_back(std::make_unique<EclipseAdversary>(
         scenario_->node(eclipse_hosts_[v]), std::move(opt)));
   }
+  isolation_seconds_.assign(eclipse_victims_.size(), 0.0);
 
   // Region oracle (the IP-prefix analog): every honest node is its own
   // group — an honest peer set never looks homogeneous — while all sybils
   // of swarm k share group 100+k, which is exactly what the diversity caps
   // and the isolation detector key on. Unknown ids (none in practice) fall
-  // back to a stable id-derived group.
+  // back to a stable id-derived group. The oracle is only consulted once
+  // the run starts, so the sybils can join the map after it is installed.
   auto regions = std::make_shared<
       std::unordered_map<p2p::NodeId, std::uint32_t, p2p::NodeIdHasher>>();
-  for (std::size_t i = 0; i < n; ++i)
-    (*regions)[scenario_->node(i).id()] =
-        1000u + static_cast<std::uint32_t>(i);
-  for (std::size_t k = 0; k < eclipse_adversaries_.size(); ++k)
-    for (const p2p::NodeId& sybil : eclipse_adversaries_[k]->sybils())
-      (*regions)[sybil] = 100u + static_cast<std::uint32_t>(k);
   const auto region_fn = [regions](const p2p::NodeId& id) -> std::uint32_t {
     const auto it = regions->find(id);
     if (it != regions->end()) return it->second;
     return 0x80000000u | (static_cast<std::uint32_t>(id.data()[0]) << 8) |
            id.data()[1];
   };
-  for (std::size_t i = 0; i < n; ++i)
+  for (std::size_t i = 0; i < roles_.size(); ++i) {
+    (*regions)[scenario_->node(i).id()] =
+        1000u + static_cast<std::uint32_t>(i);
     scenario_->node(i).set_region_fn(region_fn);
+  }
+  for (std::size_t k = 0; k < eclipse_adversaries_.size(); ++k)
+    for (const p2p::NodeId& sybil : eclipse_adversaries_[k]->sybils())
+      (*regions)[sybil] = 100u + static_cast<std::uint32_t>(k);
 
   // The attack opens at `start`; three rounds later the runner reboots each
   // victim into the entrenched swarm — the canonical reboot-then-eclipse
@@ -479,7 +427,7 @@ void ChaosRunner::install_eclipse() {
       set_node_mining(idx, true);
     });
   }
-  loop.schedule(params_.eclipse.interval, [this] { eclipse_probe_tick(); });
+  sample_every(params_.eclipse.interval, &ChaosRunner::eclipse_tick);
 }
 
 bool ChaosRunner::is_sybil_id(const p2p::NodeId& id) const {
@@ -498,17 +446,22 @@ bool ChaosRunner::victim_isolated(std::size_t idx) const {
   return true;
 }
 
-// Reads node state only — no messages, no rng draws — so the accounting
-// never perturbs the attack timeline it measures.
-void ChaosRunner::eclipse_probe_tick() {
-  auto& loop = scenario_->loop();
+// Runs `tick` every `interval` seconds from t = interval through the end of
+// the settle window. Ticks only read node state — no messages, no rng
+// draws — so a sampled run replays draw for draw like an unsampled one.
+void ChaosRunner::sample_every(double interval, void (ChaosRunner::*tick)()) {
+  scenario_->loop().schedule(interval, [this, interval, tick] {
+    (this->*tick)();
+    if (scenario_->loop().now() + interval <=
+        params_.mining_duration + params_.settle_deadline)
+      sample_every(interval, tick);
+  });
+}
+
+void ChaosRunner::eclipse_tick() {
   for (std::size_t v = 0; v < eclipse_victims_.size(); ++v)
     if (victim_isolated(eclipse_victims_[v]))
       isolation_seconds_[v] += params_.eclipse.interval;
-  if (loop.now() + params_.eclipse.interval <=
-      params_.mining_duration + params_.settle_deadline)
-    loop.schedule(params_.eclipse.interval,
-                  [this] { eclipse_probe_tick(); });
 }
 
 void ChaosRunner::install_probe() {
@@ -516,10 +469,8 @@ void ChaosRunner::install_probe() {
   if (!probe_.enabled) return;
   // Per-family sampling rides on the probe: one timeline per mix slice.
   if (params_.scenario.clients.enabled) {
-    for (const ClientShare& share : params_.scenario.clients.mix)
-      family_list_.push_back(share.family);
-    family_samples_.resize(family_list_.size());
-    family_divergence_seconds_.assign(family_list_.size(), 0.0);
+    family_samples_.resize(params_.scenario.clients.mix.size());
+    family_divergence_seconds_.assign(family_samples_.size(), 0.0);
   }
   // Derive the phase window when the caller left it implicit: the cut
   // window when a partition is scheduled, else the consensus-bug window
@@ -543,86 +494,62 @@ void ChaosRunner::install_probe() {
   }
   if (probe_.failure_end < probe_.failure_start)
     probe_.failure_end = probe_.failure_start;
-  scenario_->loop().schedule(probe_.interval, [this] { probe_tick(); });
+  sample_every(probe_.interval, &ChaosRunner::probe_tick);
 }
 
-// The probe only reads node state — no messages, no rng draws — so a
-// probe-less same-seed run is unchanged draw for draw, and a probed run
-// is itself deterministic.
 void ChaosRunner::probe_tick() {
-  auto& loop = scenario_->loop();
+  // Availability is a statement about the honest population: adversary
+  // hosts neither count toward a quorum nor define a side's head.
+  SideHeights best{};
+  for (std::size_t i = 0; i < roles_.size(); ++i) {
+    const FullNode& node = scenario_->node(i);
+    if (!honest(i) || !node.running()) continue;
+    auto& side = best[scenario_->is_eth_node(i) ? 0 : 1];
+    side = std::max(side, node.chain().height());
+  }
+  const double t = scenario_->loop().now();
   AvailabilitySample s;
-  s.t = loop.now();
-  s.eth_ok = side_meets_quorum(/*eth_side=*/true);
-  s.etc_ok = side_meets_quorum(/*eth_side=*/false);
+  s.t = t;
+  s.eth_ok = meets_quorum(best, [&](std::size_t i) {
+    return scenario_->is_eth_node(i);
+  });
+  s.etc_ok = meets_quorum(best, [&](std::size_t i) {
+    return !scenario_->is_eth_node(i);
+  });
   availability_samples_.push_back(s);
-  for (std::size_t f = 0; f < family_list_.size(); ++f) {
+  for (std::size_t f = 0; f < family_samples_.size(); ++f) {
+    const ClientFamily family = params_.scenario.clients.mix[f].family;
+    // A family spans BOTH fork sides, each member judged against its own
+    // side's best height (an ETC-side parity node lagging the ETH tip is
+    // not degraded — the fork, not the bug, put it there). Its single
+    // verdict is mirrored into both slots so summarize_availability folds
+    // it unchanged.
     AvailabilitySample fs;
-    fs.t = s.t;
-    // a family sample is a single verdict ("the family's honest members
-    // meet quorum against their own sides' best heights"), mirrored into
-    // both slots so summarize_availability folds it unchanged
-    fs.eth_ok = fs.etc_ok = family_meets_quorum(family_list_[f]);
+    fs.t = t;
+    fs.eth_ok = fs.etc_ok = meets_quorum(best, [&](std::size_t i) {
+      return scenario_->client_family_of(i) == family;
+    });
     family_samples_[f].push_back(fs);
-    if (family_diverged(family_list_[f]))
+    if (family_diverged(family))
       family_divergence_seconds_[f] += probe_.interval;
   }
-  if (loop.now() + probe_.interval <=
-      params_.mining_duration + params_.settle_deadline)
-    loop.schedule(probe_.interval, [this] { probe_tick(); });
 }
 
-bool ChaosRunner::side_meets_quorum(bool eth_side) const {
-  // Availability is a statement about the honest population: adversary
-  // hosts neither count toward the quorum nor define the side's head.
-  std::size_t honest = 0;
-  core::BlockNumber best = 0;
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-    if (scenario_->is_eth_node(i) != eth_side) continue;
-    if (adversary_hosts_.contains(i)) continue;
-    ++honest;
-    const FullNode& node = scenario_->node(i);
-    if (node.running()) best = std::max(best, node.chain().height());
-  }
-  if (honest == 0) return false;
-  std::size_t live_and_synced = 0;
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-    if (scenario_->is_eth_node(i) != eth_side) continue;
-    if (adversary_hosts_.contains(i)) continue;
-    const FullNode& node = scenario_->node(i);
-    if (node.running() && node.chain().height() + probe_.max_head_lag >= best)
-      ++live_and_synced;
-  }
-  // epsilon guards exact-threshold quorums (0.6 * 5 = 3.0000000000000004)
-  return static_cast<double>(live_and_synced) + 1e-9 >=
-         probe_.quorum_fraction * static_cast<double>(honest);
-}
-
-bool ChaosRunner::family_meets_quorum(ClientFamily family) const {
-  // Like side_meets_quorum, but the population is the family's honest
-  // members across BOTH fork sides, each judged against its own side's
-  // best height (an ETC-side parity node lagging the ETH tip is not
-  // degraded — the fork, not the bug, put it there).
-  core::BlockNumber best_eth = 0, best_etc = 0;
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-    if (adversary_hosts_.contains(i)) continue;
-    const FullNode& node = scenario_->node(i);
-    if (!node.running()) continue;
-    auto& best = scenario_->is_eth_node(i) ? best_eth : best_etc;
-    best = std::max(best, node.chain().height());
-  }
+// Quorum over the honest nodes `member` selects: at least quorum_fraction
+// of them run within max_head_lag blocks of their own side's best height.
+template <class Member>
+bool ChaosRunner::meets_quorum(const SideHeights& best, Member member) const {
   std::size_t members = 0, live_and_synced = 0;
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-    if (adversary_hosts_.contains(i)) continue;
-    if (scenario_->client_family_of(i) != family) continue;
+  for (std::size_t i = 0; i < roles_.size(); ++i) {
+    if (!honest(i) || !member(i)) continue;
     ++members;
     const FullNode& node = scenario_->node(i);
-    const core::BlockNumber best =
-        scenario_->is_eth_node(i) ? best_eth : best_etc;
-    if (node.running() && node.chain().height() + probe_.max_head_lag >= best)
+    if (node.running() && node.chain().height() + probe_.max_head_lag >=
+                              best[scenario_->is_eth_node(i) ? 0 : 1])
       ++live_and_synced;
   }
   if (members == 0) return false;
+  // epsilon guards exact-threshold quorums (0.6 * 5 = 3.0000000000000004)
   return static_cast<double>(live_and_synced) + 1e-9 >=
          probe_.quorum_fraction * static_cast<double>(members);
 }
@@ -633,15 +560,11 @@ bool ChaosRunner::family_diverged(ClientFamily family) const {
   // heads are canonical in the anchor's view, competing-branch heads are
   // not. (Anchors are churn-exempt, so "anchor down" only happens in
   // hand-built tests; treat it as no evidence.)
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-    if (adversary_hosts_.contains(i)) continue;
-    if (scenario_->client_family_of(i) != family) continue;
+  for (std::size_t i = 0; i < roles_.size(); ++i) {
+    if (!honest(i) || scenario_->client_family_of(i) != family) continue;
     const FullNode& node = scenario_->node(i);
-    if (!node.running()) continue;
-    const std::size_t anchor_index =
-        scenario_->is_eth_node(i) ? 0 : params_.scenario.nodes_eth;
-    if (i == anchor_index) continue;
-    const FullNode& anchor = scenario_->node(anchor_index);
+    if (!node.running() || anchor_of(i) == i) continue;
+    const FullNode& anchor = scenario_->node(anchor_of(i));
     if (!anchor.running()) continue;
     if (!anchor.chain().is_canonical(node.chain().head().hash())) return true;
   }
@@ -663,12 +586,11 @@ void ChaosRunner::set_node_mining(std::size_t node_index, bool on) {
 bool ChaosRunner::converged() const {
   std::optional<Hash256> eth_head;
   std::optional<Hash256> etc_head;
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
+  for (std::size_t i = 0; i < roles_.size(); ++i) {
     const FullNode& node = scenario_->node(i);
-    if (!node.running()) continue;
     // Adversary hosts don't count: a banned attacker legitimately lags
     // while its victims refuse to serve it.
-    if (adversary_hosts_.contains(i)) continue;
+    if (!node.running() || !honest(i)) continue;
     const Hash256 head = node.chain().head().hash();
     auto& side = scenario_->is_eth_node(i) ? eth_head : etc_head;
     if (side.has_value() && *side != head) return false;
@@ -685,11 +607,16 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
   Keccak256 h;
   h.update(std::string_view("forksim/chaos-fingerprint"));
   h.update(telemetry.fingerprint().view());
-  auto u64 = [&](std::uint64_t v) {
+  const auto u64 = [&](std::uint64_t v) {
     const auto be = be_fixed64(v);
     h.update(BytesView(be.data(), be.size()));
   };
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
+  // sim-time values fold as whole microseconds
+  const auto fx = [&](double v) {
+    u64(static_cast<std::uint64_t>(std::llround(v * 1e6)));
+  };
+  const std::size_t n = scenario_->node_count();
+  for (std::size_t i = 0; i < n; ++i) {
     const FullNode& node = scenario_->node(i);
     u64(i);
     u64(node.running() ? 1 : 0);
@@ -707,11 +634,11 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
   u64(f.dropped_by_cut);
   u64(f.duplicated);
   u64(f.reordered);
-  // Folded only for store-backed runs, so store-less fingerprints stay
-  // byte-identical to those produced before the durability layer existed.
+  // Each layer below folds only when it is on, so a run without it keeps
+  // the bytes it had before the layer existed.
   if (!stores_.empty()) {
     u64(stores_.size());
-    for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const NodeCounters& c = scenario_->node(i).counters();
       u64(c.cold_restarts);
       u64(c.recovery_scanned);
@@ -727,29 +654,19 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
       u64(d.bits_flipped);
     }
   }
-  // Folded only for probed runs, so probe-less fingerprints stay
-  // byte-identical to those produced before the availability layer existed.
   if (probe_.enabled) {
-    const auto fx = [](double v) {
-      return static_cast<std::uint64_t>(std::llround(v * 1e6));
-    };
     u64(availability_samples_.size());
     for (const AvailabilitySample& s : availability_samples_) {
-      u64(fx(s.t));
+      fx(s.t);
       u64(s.eth_ok ? 1 : 0);
       u64(s.etc_ok ? 1 : 0);
     }
-    u64(fx(probe_.failure_start));
-    u64(fx(probe_.failure_end));
+    fx(probe_.failure_start);
+    fx(probe_.failure_end);
   }
-  // Folded only for client-diversity runs, so clients-off fingerprints
-  // stay byte-identical to those produced before this layer existed.
   if (params_.scenario.clients.enabled) {
-    const auto fx = [](double v) {
-      return static_cast<std::uint64_t>(std::llround(v * 1e6));
-    };
-    u64(scenario_->node_count());
-    for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
+    u64(n);
+    for (std::size_t i = 0; i < n; ++i) {
       const NodeCounters& c = scenario_->node(i).counters();
       u64(static_cast<std::uint64_t>(scenario_->client_family_of(i)));
       u64(c.disputed_blocks);
@@ -760,17 +677,15 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
       u64(scenario_->quirk_rules()->disputes());
       u64(scenario_->quirk_rules()->patched() ? 1 : 0);
     }
-    for (std::size_t f = 0; f < family_list_.size(); ++f) {
-      u64(family_samples_[f].size());
-      for (const AvailabilitySample& s : family_samples_[f]) {
-        u64(fx(s.t));
+    for (std::size_t k = 0; k < family_samples_.size(); ++k) {
+      u64(family_samples_[k].size());
+      for (const AvailabilitySample& s : family_samples_[k]) {
+        fx(s.t);
         u64(s.eth_ok ? 1 : 0);
       }
-      u64(fx(family_divergence_seconds_[f]));
+      fx(family_divergence_seconds_[k]);
     }
   }
-  // Folded only for attack runs, so adversary-free fingerprints stay
-  // byte-identical to those produced before this layer existed.
   if (!adversaries_.empty()) {
     u64(adversaries_.size());
     for (const auto& adv : adversaries_) {
@@ -783,12 +698,7 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
       u64(c.equivocations);
     }
   }
-  // Folded only for eclipse runs, so eclipse-free fingerprints stay
-  // byte-identical to those produced before this layer existed.
   if (!eclipse_adversaries_.empty()) {
-    const auto fx = [](double v) {
-      return static_cast<std::uint64_t>(std::llround(v * 1e6));
-    };
     u64(eclipse_adversaries_.size());
     for (std::size_t v = 0; v < eclipse_adversaries_.size(); ++v) {
       const EclipseCounters& c = eclipse_adversaries_[v]->counters();
@@ -799,9 +709,9 @@ Hash256 ChaosRunner::fingerprint(const obs::Snapshot& telemetry) const {
       u64(c.status_floods);
       u64(c.lookups_answered);
       u64(c.withheld_requests);
-      u64(fx(isolation_seconds_[v]));
+      fx(isolation_seconds_[v]);
     }
-    for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const NodeCounters& c = scenario_->node(i).counters();
       u64(c.eclipse_suspicions);
       u64(c.eclipse_recoveries);
@@ -837,15 +747,44 @@ ChaosReport ChaosRunner::run() {
     }
   }
 
+  const bool attack = !adversaries_.empty();
+  const bool eclipse = !eclipse_adversaries_.empty();
+  const bool durable = !stores_.empty();
+  // Friendly-fire oracle: counted whenever something could cause it — an
+  // attack run (defenses active), a consensus-bug run (validity
+  // disagreement between honest peers must NOT feed the ban machinery), or
+  // an eclipse run (recovery drops sessions, it must never ban them).
+  const bool friendly_fire =
+      attack || eclipse || params_.scenario.clients.enabled;
+
   report.height_eth = scenario_->best_height_eth();
   report.height_etc = scenario_->best_height_etc();
-  for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-    const FullNode& node = scenario_->node(i);
-    if (node.running()) {
+  report.crashes = crashes_;
+  report.restarts = restarts_;
+  report.messages_sent = scenario_->network().messages_sent();
+  report.faults = faults_->counters();
+  report.recovery_seconds = recovery_seconds_;
+  report.adversaries = adversaries_.size();
+  report.eclipse_victims = eclipse_victims_.size();
+  report.isolation_seconds = isolation_seconds_;
+  for (std::size_t f = 0; f < family_samples_.size(); ++f) {
+    ChaosReport::ClientFamilyReport fr;
+    fr.family = params_.scenario.clients.mix[f].family;
+    fr.availability = summarize_availability(family_samples_[f], probe_);
+    fr.divergence_seconds = family_divergence_seconds_[f];
+    report.client_families.push_back(fr);
+  }
+
+  // One pass over the nodes. An adversary host counts in the network-wide
+  // sums but not in the honest-defense ones; an attacker counts as banned
+  // once any honest node banned it.
+  std::vector<char> attacker_banned(roles_.size(), 0);
+  for (std::size_t i = 0; i < roles_.size(); ++i) {
+    FullNode& node = scenario_->node(i);
+    const NodeCounters& c = node.counters();
+    if (node.running())
       ++(scenario_->is_eth_node(i) ? report.survivors_eth
                                    : report.survivors_etc);
-    }
-    const NodeCounters& c = node.counters();
     report.sync_timeouts += c.sync_timeouts;
     report.sync_retries += c.sync_retries;
     report.dial_attempts += c.dial_attempts;
@@ -855,26 +794,43 @@ ChaosReport ChaosRunner::run() {
     report.consensus_patches += c.consensus_patches;
     report.cold_restarts += c.cold_restarts;
     report.store_replay_rejected += c.recovery_rejects;
+    for (ChaosReport::ClientFamilyReport& fr : report.client_families)
+      if (scenario_->client_family_of(i) == fr.family) ++fr.nodes;
+    if (durable) {
+      report.store_records_scanned += c.recovery_scanned;
+      report.store_corrupt_records += c.recovery_corrupt;
+      report.store_blocks_replayed += c.recovery_replayed;
+      const db::DiskCounters& d = disks_[i]->counters();
+      report.store_appends += d.appends;
+      report.disk_torn_writes += d.torn_writes;
+      report.disk_tail_truncations += d.tail_truncations;
+      report.disk_bits_flipped += d.bits_flipped;
+    }
+    if ((roles_[i] & kEclipseVictim) && victim_isolated(i))
+      ++report.victims_eclipsed_at_end;
+    if (!honest(i)) continue;
+    if (attack) {
+      report.wasted_executions += c.wasted_executions;
+      report.invalid_cache_hits += c.invalid_cache_hits;
+      report.rate_limited += c.rate_limited;
+      report.txpool_evictions += node.txpool().evictions();
+    }
+    if (eclipse) {
+      report.eclipse_suspicions += c.eclipse_suspicions;
+      report.eclipse_recoveries += c.eclipse_recoveries;
+    }
+    if (!friendly_fire) continue;
+    for (std::size_t j = 0; j < roles_.size(); ++j) {
+      if (j == i || !node.peers().ever_banned(scenario_->node(j).id()))
+        continue;
+      if (honest(j))
+        ++report.honest_ban_events;
+      else
+        attacker_banned[j] = 1;
+    }
   }
-  report.crashes = crashes_;
-  report.restarts = restarts_;
-  report.messages_sent = scenario_->network().messages_sent();
-  report.faults = faults_->counters();
-
-  report.recovery_seconds = recovery_seconds_;
-  for (std::size_t i = 0; i < stores_.size(); ++i) {
-    const NodeCounters& c = scenario_->node(i).counters();
-    report.store_records_scanned += c.recovery_scanned;
-    report.store_corrupt_records += c.recovery_corrupt;
-    report.store_blocks_replayed += c.recovery_replayed;
-    const db::DiskCounters& d = disks_[i]->counters();
-    report.store_appends += d.appends;
-    report.disk_torn_writes += d.torn_writes;
-    report.disk_tail_truncations += d.tail_truncations;
-    report.disk_bits_flipped += d.bits_flipped;
-  }
-
-  report.adversaries = adversaries_.size();
+  report.attackers_banned = static_cast<std::size_t>(
+      std::count(attacker_banned.begin(), attacker_banned.end(), 1));
   for (const auto& adv : adversaries_) {
     const AdversaryCounters& c = adv->counters();
     report.blocks_forged += c.blocks_forged;
@@ -882,29 +838,6 @@ ChaosReport ChaosRunner::run() {
     report.txs_spammed += c.txs_spammed;
     report.equivocations += c.equivocations;
   }
-  if (!adversaries_.empty()) {
-    for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-      if (adversary_hosts_.contains(i)) continue;
-      FullNode& node = scenario_->node(i);
-      const NodeCounters& c = node.counters();
-      report.wasted_executions += c.wasted_executions;
-      report.invalid_cache_hits += c.invalid_cache_hits;
-      report.rate_limited += c.rate_limited;
-      report.txpool_evictions += node.txpool().evictions();
-    }
-    for (const auto& adv : adversaries_) {
-      bool banned = false;
-      for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-        if (adversary_hosts_.contains(i)) continue;
-        if (scenario_->node(i).peers().ever_banned(adv->host().id())) {
-          banned = true;
-          break;
-        }
-      }
-      if (banned) ++report.attackers_banned;
-    }
-  }
-  report.eclipse_victims = eclipse_victims_.size();
   for (const auto& adv : eclipse_adversaries_) {
     const EclipseCounters& c = adv->counters();
     report.eclipse_sybils += adv->sybils().size();
@@ -912,43 +845,6 @@ ChaosReport ChaosRunner::run() {
     report.eclipse_status_floods += c.status_floods;
     report.eclipse_lookups_answered += c.lookups_answered;
     report.eclipse_withheld_requests += c.withheld_requests;
-  }
-  if (!eclipse_adversaries_.empty()) {
-    for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-      if (adversary_hosts_.contains(i)) continue;
-      const NodeCounters& c = scenario_->node(i).counters();
-      report.eclipse_suspicions += c.eclipse_suspicions;
-      report.eclipse_recoveries += c.eclipse_recoveries;
-    }
-    report.isolation_seconds = isolation_seconds_;
-    for (std::size_t idx : eclipse_victims_)
-      if (victim_isolated(idx)) ++report.victims_eclipsed_at_end;
-  }
-
-  // Friendly-fire oracle: counted whenever something could cause it — an
-  // attack run (defenses active), a consensus-bug run (validity
-  // disagreement between honest peers must NOT feed the ban machinery), or
-  // an eclipse run (recovery drops sessions, it must never ban them).
-  if (!adversaries_.empty() || params_.scenario.clients.enabled ||
-      !eclipse_adversaries_.empty()) {
-    for (std::size_t i = 0; i < scenario_->node_count(); ++i) {
-      if (adversary_hosts_.contains(i)) continue;
-      const FullNode& node = scenario_->node(i);
-      for (std::size_t j = 0; j < scenario_->node_count(); ++j) {
-        if (j == i || adversary_hosts_.contains(j)) continue;
-        if (node.peers().ever_banned(scenario_->node(j).id()))
-          ++report.honest_ban_events;
-      }
-    }
-  }
-  for (std::size_t f = 0; f < family_list_.size(); ++f) {
-    ChaosReport::ClientFamilyReport fr;
-    fr.family = family_list_[f];
-    for (std::size_t i = 0; i < scenario_->node_count(); ++i)
-      if (scenario_->client_family_of(i) == fr.family) ++fr.nodes;
-    fr.availability = summarize_availability(family_samples_[f], probe_);
-    fr.divergence_seconds = family_divergence_seconds_[f];
-    report.client_families.push_back(fr);
   }
   report.availability = summarize_availability(availability_samples_, probe_);
   report.telemetry = registry_.snapshot();

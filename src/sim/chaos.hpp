@@ -13,6 +13,7 @@
 // carries a fingerprint to prove it).
 #pragma once
 
+#include <array>
 #include <memory>
 
 #include "db/blockstore.hpp"
@@ -25,11 +26,11 @@ namespace forksim::sim {
 struct ChaosParams {
   ScenarioParams scenario;
 
-  // message-level faults
+  /// Message-level faults. A reordered message is held back a fixed
+  /// 0.5 s (the FaultInjector default).
   double extra_loss = 0.10;
   double duplicate_prob = 0.02;
   double reorder_prob = 0.05;
-  double reorder_delay = 0.5;
 
   /// Network-layer partition: a seeded random `partitioned_share` fraction
   /// of the nodes is cut off from the rest for [cut_start, cut_start +
@@ -73,25 +74,24 @@ struct ChaosParams {
 
   /// Byzantine adversaries mixed into the population. With fraction > 0,
   /// that share of the nodes (never bootstrap anchors or miner hosts —
-  /// deterministically the highest-indexed eligible nodes, exempt from
-  /// churn) run hostile agents cycling through the enabled kinds, and every
-  /// honest node switches HardeningOptions on. With fraction == 0 nothing
-  /// here consumes rng draws or registers telemetry, so adversary-free runs
-  /// replay bit-identically to builds without this layer.
+  /// deterministically the highest-indexed such nodes, exempt from churn)
+  /// run hostile agents, and every honest node switches HardeningOptions
+  /// on. The agents cycle through all four kinds in host-index order:
+  /// invalid-block forger, withholder, tx spammer, equivocator. With
+  /// fraction == 0 nothing here consumes rng draws or registers telemetry,
+  /// so adversary-free runs replay bit-identically to builds without this
+  /// layer.
   struct AdversaryMix {
     double fraction = 0.0;
     /// Sim time the agents start attacking, and their round interval.
     double start = 60.0;
     double interval = 12.0;
-    bool forgers = true;
-    bool withholders = true;
-    bool spammers = true;
-    bool equivocators = true;
   } adversaries;
 
-  /// Eclipse layer: with budget > 0, each of `victims` nodes gets a
-  /// dedicated sybil swarm (an EclipseAdversary hosted on a high-indexed
-  /// eligible node) grinding `budget` NodeIds into the victim's near
+  /// Eclipse layer: with budget > 0, each of `victims` nodes (the
+  /// lowest-indexed ETH-side nodes with no other role) gets a dedicated
+  /// sybil swarm (an EclipseAdversary hosted on the highest-indexed node
+  /// with no other role) grinding `budget` NodeIds into the victim's near
   /// buckets, poisoning its table, monopolizing its slots and its seeds',
   /// and withholding every block. Three attack rounds after `start` the
   /// runner warm-reboots each victim into the entrenched swarm — the
@@ -271,19 +271,7 @@ class ChaosRunner {
   explicit ChaosRunner(ChaosParams params);
 
   ForkScenario& scenario() noexcept { return *scenario_; }
-  p2p::FaultInjector& faults() noexcept { return *faults_; }
   const p2p::ChurnSchedule& churn() const noexcept { return churn_; }
-  const std::vector<std::unique_ptr<Adversary>>& adversaries() const noexcept {
-    return adversaries_;
-  }
-  /// Is node `i` hosting a Byzantine agent?
-  bool is_adversary(std::size_t i) const {
-    return adversary_hosts_.contains(i);
-  }
-  const std::vector<std::unique_ptr<EclipseAdversary>>& eclipse_adversaries()
-      const noexcept {
-    return eclipse_adversaries_;
-  }
   /// Node indices under sybil attack, in victim order (empty when the
   /// eclipse layer is off).
   const std::vector<std::size_t>& eclipse_victims() const noexcept {
@@ -291,18 +279,10 @@ class ChaosRunner {
   }
   /// Is `id` a minted sybil of any swarm in this run?
   bool is_sybil_id(const p2p::NodeId& id) const;
-  /// Is victim node `idx` currently running with no honest active peer?
-  bool victim_isolated(std::size_t idx) const;
-  /// Node `i`'s block store (null when the durability layer is off).
-  db::BlockStore* store(std::size_t i) {
-    return i < stores_.size() ? stores_[i].get() : nullptr;
-  }
   /// Bootstrap list a churned node rejoins through: its own fork side's
   /// anchor, so a post-fork restart pulls toward the right network instead
   /// of burning dials on peers that will DAO-challenge it away.
   std::vector<p2p::NodeId> rejoin_bootstrap_for(std::size_t i) const;
-  /// Live registry for the run (snapshot lands in ChaosReport::telemetry).
-  obs::Registry& telemetry() noexcept { return registry_; }
   obs::EventTracer& tracer() noexcept { return tracer_; }
   /// Node indices severed from the rest by the scheduled partition cut
   /// (empty when the cut is disabled); test hook for partitioned_share.
@@ -314,41 +294,47 @@ class ChaosRunner {
       const noexcept {
     return availability_samples_;
   }
-  /// Per-family sample timelines, indexed like scenario.clients.mix (empty
-  /// unless both the probe and the clients layer are enabled). A family
-  /// sample sets eth_ok == etc_ok == "quorum of the family's honest
-  /// members is live and synced to its own side's best height".
-  const std::vector<std::vector<AvailabilitySample>>& family_samples()
-      const noexcept {
-    return family_samples_;
-  }
   /// The phase window the probe actually used ([failure_start,
   /// failure_end), explicit or derived from the cut/churn windows).
   const ChaosParams::AvailabilityProbe& effective_probe() const noexcept {
     return probe_;
   }
 
-  /// Every running node on each side shares one head and both sides have
-  /// crossed the fork block (so the heads are provably per-side).
-  bool converged() const;
-
   /// Drive the whole timeline and report.
   ChaosReport run();
 
  private:
+  /// What a node is to the runner, cast once at construction with no rng
+  /// draws. A node with no role is the long tail: churn picks only those.
+  enum Role : std::uint8_t {
+    kAnchor = 1,          // first node on each fork side (bootstrap seed)
+    kMinerHost = 2,
+    kAdversaryHost = 4,   // runs a Byzantine agent; not honest
+    kEclipseVictim = 8,
+    kSwarmHost = 16,      // hosts an eclipse sybil swarm
+  };
+  /// Per-side best heights over running honest nodes, [0] = ETH.
+  using SideHeights = std::array<core::BlockNumber, 2>;
+
+  void cast_roles();
   void install_cut();
-  void select_adversary_hosts();
-  void select_eclipse_cast();
   void install_stores();
   void install_churn();
   void install_adversaries();
   void install_eclipse();
-  void eclipse_probe_tick();
   void install_probe();
+  void sample_every(double interval, void (ChaosRunner::*tick)());
   void probe_tick();
-  bool side_meets_quorum(bool eth_side) const;
-  bool family_meets_quorum(ClientFamily family) const;
+  void eclipse_tick();
+  std::size_t anchor_of(std::size_t i) const;
+  bool honest(std::size_t i) const { return !(roles_[i] & kAdversaryHost); }
+  template <class Member>
+  bool meets_quorum(const SideHeights& best, Member member) const;
   bool family_diverged(ClientFamily family) const;
+  bool victim_isolated(std::size_t idx) const;
+  /// Every running honest node on each side shares one head and both sides
+  /// have crossed the fork block (so the heads are provably per-side).
+  bool converged() const;
   void set_node_mining(std::size_t node_index, bool on);
   Hash256 fingerprint(const obs::Snapshot& telemetry) const;
 
@@ -361,16 +347,16 @@ class ChaosRunner {
   std::unique_ptr<ForkScenario> scenario_;
   std::unique_ptr<p2p::FaultInjector> faults_;
   p2p::ChurnSchedule churn_;
+  /// Role bits per node, indexed by node.
+  std::vector<std::uint8_t> roles_;
+  /// Agents, in host-index order. Declared after scenario_: agents detach
+  /// before the nodes they ride on are destroyed.
   std::vector<std::unique_ptr<Adversary>> adversaries_;
-  std::unordered_set<std::size_t> adversary_hosts_;
-  /// Eclipse layer state (all empty when EclipseParams::budget == 0).
-  /// Declared after scenario_ like adversaries_: swarms detach before the
-  /// nodes they ride on are destroyed.
+  /// Eclipse cast: swarm v (hosted on eclipse_hosts_[v]) targets
+  /// eclipse_victims_[v]. All empty when EclipseParams::budget == 0.
   std::vector<std::unique_ptr<EclipseAdversary>> eclipse_adversaries_;
   std::vector<std::size_t> eclipse_victims_;
   std::vector<std::size_t> eclipse_hosts_;
-  /// Victims + swarm hosts: exempt from churn.
-  std::unordered_set<std::size_t> eclipse_protected_;
   std::vector<double> isolation_seconds_;
   /// Per-node durable storage, indexed by node (empty when the durability
   /// layer is off; one SimDisk per node so crash faults stay independent).
@@ -380,9 +366,10 @@ class ChaosRunner {
   /// Resolved probe config (phase window derived when not explicit).
   ChaosParams::AvailabilityProbe probe_;
   std::vector<AvailabilitySample> availability_samples_;
-  /// Per-family probe state, indexed like scenario.clients.mix (all empty
-  /// unless both the probe and the clients layer are enabled).
-  std::vector<ClientFamily> family_list_;
+  /// Per-family probe timelines, indexed like scenario.clients.mix (empty
+  /// unless both the probe and the clients layer are enabled). A family
+  /// sample sets eth_ok == etc_ok == "quorum of the family's honest
+  /// members is live and synced to its own side's best height".
   std::vector<std::vector<AvailabilitySample>> family_samples_;
   std::vector<double> family_divergence_seconds_;
   std::size_t crashes_ = 0;

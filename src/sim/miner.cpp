@@ -68,15 +68,6 @@ void Miner::on_found(std::uint64_t attempt) {
   if (running_) reschedule();
 }
 
-std::string to_string(PayoutScheme s) {
-  switch (s) {
-    case PayoutScheme::kProportional: return "proportional";
-    case PayoutScheme::kPps: return "PPS";
-    case PayoutScheme::kPplns: return "PPLNS";
-  }
-  return "unknown";
-}
-
 std::size_t PoolLedger::add_member(std::string name, double hashrate) {
   members_.push_back(Member{std::move(name), hashrate, 0.0, 0});
   round_shares_.push_back(0);

@@ -60,8 +60,6 @@ enum class PayoutScheme {
   kPplns,         // pay-per-last-N-shares
 };
 
-std::string to_string(PayoutScheme s);
-
 /// Share-based payout bookkeeping for one pool. Decoupled from networking:
 /// callers report rounds (elapsed time) and found blocks; the ledger tracks
 /// every member's accrued reward so the ablation bench can compare payout

@@ -290,6 +290,254 @@ TEST(GoldenTraceTest, AllLayersPinLazilyRegisteredMetrics) {
                                "d8109b01fa73d9b292c59bd67705bf5a"));
 }
 
+// One "name value" line per ChaosReport field (doubles at full precision),
+// so a pin failure shows exactly which field moved.
+std::string describe(const ChaosReport& r) {
+  std::ostringstream os;
+  os.precision(17);
+  const auto line = [&os](std::string_view name, const auto& value) {
+    os << name << ' ' << value << '\n';
+  };
+  const auto stats = [&os](const AvailabilityStats& a) {
+    os << "  pre " << a.pre << "\n  during_failure " << a.during_failure
+       << "\n  post " << a.post << "\n  degraded_seconds "
+       << a.degraded_seconds << "\n  time_to_heal " << a.time_to_heal
+       << "\n  samples " << a.samples << '\n';
+  };
+  line("fingerprint", r.fingerprint.hex());
+  line("converged", r.converged);
+  line("time_to_convergence", r.time_to_convergence);
+  line("height_eth", r.height_eth);
+  line("height_etc", r.height_etc);
+  line("survivors_eth", r.survivors_eth);
+  line("survivors_etc", r.survivors_etc);
+  line("crashes", r.crashes);
+  line("restarts", r.restarts);
+  line("cold_restarts", r.cold_restarts);
+  line("store_appends", r.store_appends);
+  line("store_records_scanned", r.store_records_scanned);
+  line("store_corrupt_records", r.store_corrupt_records);
+  line("store_blocks_replayed", r.store_blocks_replayed);
+  line("store_replay_rejected", r.store_replay_rejected);
+  line("recovery_seconds", r.recovery_seconds);
+  line("disk_torn_writes", r.disk_torn_writes);
+  line("disk_tail_truncations", r.disk_tail_truncations);
+  line("disk_bits_flipped", r.disk_bits_flipped);
+  line("sync_timeouts", r.sync_timeouts);
+  line("sync_retries", r.sync_retries);
+  line("dial_attempts", r.dial_attempts);
+  line("peers_banned", r.peers_banned);
+  line("messages_sent", r.messages_sent);
+  line("adversaries", r.adversaries);
+  line("blocks_forged", r.blocks_forged);
+  line("phantom_announcements", r.phantom_announcements);
+  line("txs_spammed", r.txs_spammed);
+  line("equivocations", r.equivocations);
+  line("attackers_banned", r.attackers_banned);
+  line("honest_ban_events", r.honest_ban_events);
+  line("wasted_executions", r.wasted_executions);
+  line("invalid_cache_hits", r.invalid_cache_hits);
+  line("rate_limited", r.rate_limited);
+  line("txpool_evictions", r.txpool_evictions);
+  line("faults.dropped_by_loss", r.faults.dropped_by_loss);
+  line("faults.dropped_by_cut", r.faults.dropped_by_cut);
+  line("faults.dropped_by_filter", r.faults.dropped_by_filter);
+  line("faults.duplicated", r.faults.duplicated);
+  line("faults.reordered", r.faults.reordered);
+  line("faults.link_overrides", r.faults.link_overrides);
+  line("eclipse_victims", r.eclipse_victims);
+  line("eclipse_sybils", r.eclipse_sybils);
+  line("eclipse_table_floods", r.eclipse_table_floods);
+  line("eclipse_status_floods", r.eclipse_status_floods);
+  line("eclipse_lookups_answered", r.eclipse_lookups_answered);
+  line("eclipse_withheld_requests", r.eclipse_withheld_requests);
+  line("eclipse_suspicions", r.eclipse_suspicions);
+  line("eclipse_recoveries", r.eclipse_recoveries);
+  for (double s : r.isolation_seconds) line("isolation_seconds", s);
+  line("victims_eclipsed_at_end", r.victims_eclipsed_at_end);
+  os << "availability\n";
+  stats(r.availability);
+  line("disputed_blocks", r.disputed_blocks);
+  line("divergence_events", r.divergence_events);
+  line("consensus_patches", r.consensus_patches);
+  for (const ChaosReport::ClientFamilyReport& f : r.client_families) {
+    line("family", to_string(f.family));
+    line("  nodes", f.nodes);
+    line("  divergence_seconds", f.divergence_seconds);
+    stats(f.availability);
+  }
+  line("telemetry", r.telemetry.fingerprint().hex());
+  return os.str();
+}
+
+// The whole report of the all-layers run, pinned field by field: every
+// layer's report sums, not only the telemetry registry.
+TEST(GoldenTraceTest, AllLayersPinEveryReportField) {
+  const ChaosReport report = ChaosRunner(all_layers_params()).run();
+  EXPECT_EQ(describe(report),
+            R"(fingerprint ffb22cc250066792db15b5dbbddd3b03d3f9d7d5af0604e2a8ed216951926059
+converged 1
+time_to_convergence 5
+height_eth 19
+height_etc 9
+survivors_eth 8
+survivors_etc 3
+crashes 2
+restarts 2
+cold_restarts 2
+store_appends 258
+store_records_scanned 9
+store_corrupt_records 2
+store_blocks_replayed 7
+store_replay_rejected 0
+recovery_seconds 0.014
+disk_torn_writes 4
+disk_tail_truncations 2
+disk_bits_flipped 4
+sync_timeouts 205
+sync_retries 6
+dial_attempts 1541
+peers_banned 72
+messages_sent 23834
+adversaries 4
+blocks_forged 123
+phantom_announcements 284
+txs_spammed 3872
+equivocations 480
+attackers_banned 4
+honest_ban_events 0
+wasted_executions 21
+invalid_cache_hits 5
+rate_limited 0
+txpool_evictions 0
+faults.dropped_by_loss 2358
+faults.dropped_by_cut 0
+faults.dropped_by_filter 0
+faults.duplicated 418
+faults.reordered 1120
+faults.link_overrides 0
+eclipse_victims 1
+eclipse_sybils 32
+eclipse_table_floods 6171
+eclipse_status_floods 1604
+eclipse_lookups_answered 214
+eclipse_withheld_requests 0
+eclipse_suspicions 0
+eclipse_recoveries 0
+isolation_seconds 6
+victims_eclipsed_at_end 0
+availability
+  pre -1
+  during_failure -1
+  post -1
+  degraded_seconds 0
+  time_to_heal -1
+  samples 0
+disputed_blocks 12
+divergence_events 3
+consensus_patches 4
+telemetry b2c6c1eaf845f4787ea81709672fd2bed8109b01fa73d9b292c59bd67705bf5a
+)");
+}
+
+// The same run with the availability probe sampling and a 60 s partition
+// cut: pins the cut members, the per-side and per-family availability
+// folds and the per-family divergence seconds.
+TEST(GoldenTraceTest, AllLayersWithProbeAndCutPinEveryReportField) {
+  ChaosParams cp = all_layers_params();
+  cp.probe.enabled = true;
+  cp.cut_start = 100.0;
+  cp.cut_duration = 60.0;
+  ChaosRunner runner(cp);
+  const ChaosReport report = runner.run();
+  std::ostringstream cut;
+  for (std::size_t i : runner.cut_members()) cut << i << ' ';
+  EXPECT_EQ(cut.str(), "0 4 8 9 10 ");
+  EXPECT_EQ(runner.availability_samples().size(), report.availability.samples);
+  EXPECT_EQ(describe(report),
+            R"(fingerprint 355854ed132c82ad7b4b16970379bcb382f969b7d493a8f0b171b4f5e34b4c2e
+converged 0
+time_to_convergence -1
+height_eth 14
+height_etc 8
+survivors_eth 8
+survivors_etc 3
+crashes 2
+restarts 2
+cold_restarts 2
+store_appends 315
+store_records_scanned 10
+store_corrupt_records 1
+store_blocks_replayed 8
+store_replay_rejected 1
+recovery_seconds 0.016
+disk_torn_writes 3
+disk_tail_truncations 4
+disk_bits_flipped 11
+sync_timeouts 232
+sync_retries 16
+dial_attempts 1759
+peers_banned 74
+messages_sent 30072
+adversaries 4
+blocks_forged 87
+phantom_announcements 280
+txs_spammed 5072
+equivocations 420
+attackers_banned 4
+honest_ban_events 2
+wasted_executions 21
+invalid_cache_hits 9
+rate_limited 0
+txpool_evictions 0
+faults.dropped_by_loss 2939
+faults.dropped_by_cut 344
+faults.dropped_by_filter 0
+faults.duplicated 522
+faults.reordered 1406
+faults.link_overrides 0
+eclipse_victims 1
+eclipse_sybils 32
+eclipse_table_floods 8085
+eclipse_status_floods 2051
+eclipse_lookups_answered 426
+eclipse_withheld_requests 0
+eclipse_suspicions 0
+eclipse_recoveries 0
+isolation_seconds 6
+victims_eclipsed_at_end 0
+availability
+  pre 1
+  during_failure 0.5
+  post 0.9452054794520548
+  degraded_seconds 50
+  time_to_heal 20
+  samples 104
+disputed_blocks 6
+divergence_events 2
+consensus_patches 4
+family geth
+  nodes 7
+  divergence_seconds 235
+  pre 1
+  during_failure 1
+  post 1
+  degraded_seconds 0
+  time_to_heal 0
+  samples 104
+family parity
+  nodes 4
+  divergence_seconds 165
+  pre 1
+  during_failure 0.5
+  post 0.9452054794520548
+  degraded_seconds 50
+  time_to_heal 20
+  samples 104
+telemetry 54e3fb0b2ee5ddee90b0ed804be3c7ae9619d6308d6db2489df0ffd494ffd2f2
+)");
+}
+
 // The exported Chrome trace is Perfetto-loadable: non-empty, and the
 // "ts" sequence (sim microseconds) is monotone non-decreasing.
 TEST(GoldenTraceTest, ChromeTraceTimestampsAreMonotone) {
