@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "p2p/messages.hpp"
+
 namespace forksim::p2p {
 
 void FaultInjector::set_link_latency(const NodeId& from, const NodeId& to,
@@ -58,8 +60,8 @@ void FaultInjector::schedule_node_cut(const NodeId& id, double start_in,
 }
 
 void FaultInjector::on_send(Network& network, const NodeId& from,
-                            const NodeId& to, Bytes data) {
-  if (drop_filter_ && drop_filter_(from, to, data)) {
+                            const NodeId& to, PayloadPtr data) {
+  if (drop_filter_ && drop_filter_(from, to, data->wire())) {
     ++counters_.dropped_by_filter;
     return;
   }
@@ -97,8 +99,7 @@ void FaultInjector::on_send(Network& network, const NodeId& from,
       delay += reorder_delay_;
       ++counters_.reordered;
     }
-    Bytes payload = (c + 1 == copies) ? std::move(data) : data;
-    network.deliver_after(delay, from, to, std::move(payload));
+    network.deliver_after(delay, from, to, data);
   }
 }
 

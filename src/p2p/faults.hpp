@@ -52,8 +52,9 @@ struct FaultCounters {
 class FaultInjector {
  public:
   /// A drop filter sees every message before any other fault decision and
-  /// returns true to drop it. The wire bytes can be decoded with
-  /// decode_message for type-targeted faults.
+  /// returns true to drop it. It is called once per send, before any
+  /// duplication. The wire bytes can be decoded with decode_message for
+  /// type-targeted faults.
   using DropFilter =
       std::function<bool(const NodeId& from, const NodeId& to, const Bytes&)>;
 
@@ -91,7 +92,8 @@ class FaultInjector {
   // ---- global knobs (applied on top of the effective latency model) -----
   /// Extra drop probability for every message.
   void set_extra_loss(double p) { extra_loss_ = p; }
-  /// Probability a message is delivered twice.
+  /// Probability a message is delivered twice (both copies carry the one
+  /// shared payload).
   void set_duplicate_prob(double p) { duplicate_prob_ = p; }
   /// Probability a message is delayed by an extra `reorder_delay` seconds,
   /// letting later sends overtake it.
@@ -106,7 +108,7 @@ class FaultInjector {
 
   /// Called by Network::send for every message while attached.
   void on_send(Network& network, const NodeId& from, const NodeId& to,
-               Bytes data);
+               PayloadPtr data);
 
  private:
   EventLoop& loop_;

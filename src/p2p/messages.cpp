@@ -203,6 +203,27 @@ std::optional<Message> decode_message(BytesView wire) {
   return std::nullopt;
 }
 
+const Message* Payload::message() const {
+  if (!decoded_) {
+    message_ = decode_message(wire_);
+    decoded_ = true;
+  }
+  return message_ ? &*message_ : nullptr;
+}
+
+const std::vector<Hash256>& Payload::tx_hashes() const {
+  if (!hashed_) {
+    const Message* msg = message();
+    if (const auto* txs = msg ? std::get_if<Transactions>(msg) : nullptr) {
+      tx_hashes_.reserve(txs->transactions.size());
+      for (const core::Transaction& tx : txs->transactions)
+        tx_hashes_.push_back(tx.hash());
+    }
+    hashed_ = true;
+  }
+  return tx_hashes_;
+}
+
 std::string_view message_name(const Message& msg) {
   return std::visit(
       [](const auto& m) -> std::string_view {

@@ -7,6 +7,7 @@
 // Encoding: rlp([message_id, payload...]).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -115,6 +116,39 @@ using Message =
 
 Bytes encode_message(const Message& msg);
 std::optional<Message> decode_message(BytesView wire);
+
+/// One encoded message as the network carries it: a broadcast, a relay and
+/// a duplicated delivery all share one Payload, so every receiver reads the
+/// same bytes and the same decoded message. The wire bytes never change;
+/// the decoded message and the transaction hashes are worked out on first
+/// use and kept. The network is single-threaded, so the memos take no lock.
+class Payload {
+ public:
+  explicit Payload(Bytes wire) : wire_(std::move(wire)) {}
+
+  const Bytes& wire() const noexcept { return wire_; }
+  std::size_t size() const noexcept { return wire_.size(); }
+
+  /// decode_message(wire()), run on the first call only; nullptr if the
+  /// bytes are malformed (every receiver then sees that same failure).
+  const Message* message() const;
+
+  /// The hash of each transaction of a Transactions message, in order,
+  /// computed on the first call only. Empty for any other message.
+  const std::vector<Hash256>& tx_hashes() const;
+
+ private:
+  Bytes wire_;
+  mutable bool decoded_ = false;
+  mutable std::optional<Message> message_;
+  mutable bool hashed_ = false;
+  mutable std::vector<Hash256> tx_hashes_;
+};
+
+/// A payload that every send of `wire` can share.
+inline PayloadPtr make_payload(Bytes wire) {
+  return std::make_shared<const Payload>(std::move(wire));
+}
 
 /// Human-readable tag (telemetry).
 std::string_view message_name(const Message& msg);

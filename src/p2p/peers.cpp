@@ -16,8 +16,7 @@ bool TokenBucket::take(SimTime now, double cost) {
 }
 
 void PeerSession::mark_known(const Hash256& h, std::size_t cap) {
-  if (known.contains(h)) return;
-  known.insert(h);
+  if (!known.insert(h).second) return;
   known_order.push_back(h);
   while (known_order.size() > cap) {
     known.erase(known_order.front());

@@ -5,6 +5,7 @@
 
 #include "p2p/faults.hpp"
 #include "p2p/geo.hpp"
+#include "p2p/messages.hpp"
 
 namespace forksim::p2p {
 
@@ -60,15 +61,22 @@ void Network::set_geo(
   geo_placement_ = std::move(placement);
 }
 
-void Network::attach(const NodeId& id, Handler handler) {
+void Network::attach_payload(const NodeId& id, Handler handler) {
   handlers_[id] = std::move(handler);
+}
+
+void Network::attach(const NodeId& id, BytesHandler handler) {
+  attach_payload(id, [handler = std::move(handler)](const NodeId& from,
+                                                    const Payload& data) {
+    handler(from, data.wire());
+  });
 }
 
 void Network::detach(const NodeId& id) { handlers_.erase(id); }
 
-void Network::send(const NodeId& from, const NodeId& to, Bytes data) {
+void Network::send(const NodeId& from, const NodeId& to, PayloadPtr data) {
   ++messages_sent_;
-  bytes_sent_ += data.size();
+  bytes_sent_ += data->size();
   if (faults_ != nullptr) {
     faults_->on_send(*this, from, to, std::move(data));
     return;
@@ -81,47 +89,40 @@ void Network::send(const NodeId& from, const NodeId& to, Bytes data) {
                 std::move(data));
 }
 
+void Network::send(const NodeId& from, const NodeId& to, Bytes data) {
+  send(from, to, make_payload(std::move(data)));
+}
+
 std::uint32_t Network::acquire_slot(const NodeId& from, const NodeId& to,
-                                    Bytes&& data) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    InFlight& m = pool_[slot];
-    m.from = from;
-    m.to = to;
-    // assign() reuses the retained buffer capacity; the caller's allocation
-    // is freed here, but steady-state slots stop growing
-    m.data.assign(data.begin(), data.end());
-  } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
+                                    PayloadPtr&& data) {
+  if (free_slots_.empty()) {
     pool_.push_back(InFlight{from, to, std::move(data)});
+    return static_cast<std::uint32_t>(pool_.size() - 1);
   }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  pool_[slot] = InFlight{from, to, std::move(data)};
   return slot;
 }
 
 void Network::deliver_slot(std::uint32_t slot) {
   // Move the message out first: the handler may send — which acquires
   // slots and can reallocate pool_ — so no reference into the pool may be
-  // live across the call.
-  const NodeId from = pool_[slot].from;
-  const NodeId to = pool_[slot].to;
-  Bytes data = std::move(pool_[slot].data);
-  auto it = handlers_.find(to);
+  // live across the call. The local reference keeps the payload alive
+  // through the handler.
+  const InFlight m = std::move(pool_[slot]);
+  free_slots_.push_back(slot);
+  auto it = handlers_.find(m.to);
   if (it == handlers_.end()) {
     obs::inc(tm_dropped_detached_);
-  } else {
-    ++messages_delivered_;
-    it->second(from, data);
+    return;
   }
-  // hand the buffer (and its capacity) back to the slot for reuse
-  data.clear();
-  pool_[slot].data = std::move(data);
-  free_slots_.push_back(slot);
+  ++messages_delivered_;
+  it->second(m.from, *m.data);
 }
 
 void Network::deliver_after(double delay, const NodeId& from, const NodeId& to,
-                            Bytes data) {
+                            PayloadPtr data) {
   obs::observe(tm_delay_, delay);
   const std::uint32_t slot = acquire_slot(from, to, std::move(data));
   loop_.schedule(delay, [this, slot] { deliver_slot(slot); });

@@ -81,6 +81,10 @@ struct LatencyModel {
 
 class FaultInjector;
 class GeoModel;
+class Payload;  // p2p/messages.hpp
+
+/// One encoded message, shared by every copy of it in flight.
+using PayloadPtr = std::shared_ptr<const Payload>;
 
 /// Message-passing network: endpoints register a receive handler; send()
 /// schedules delivery through the event loop with sampled latency. An
@@ -89,9 +93,18 @@ class GeoModel;
 /// for draw, so fault-free runs are unchanged. An optional GeoModel
 /// (p2p/geo.hpp) replaces the uniform latency base with the per-pair
 /// region RTT — also draw-neutral when absent.
+///
+/// What travels is a PayloadPtr: a sender that gives one payload to many
+/// peers, and the fault injector when it duplicates a message, hand the
+/// same immutable payload to every receiver, which then decodes it once.
 class Network {
  public:
-  using Handler = std::function<void(const NodeId& from, const Bytes& data)>;
+  /// Receives the shared payload; Payload::message() decodes it once for
+  /// every receiver.
+  using Handler = std::function<void(const NodeId& from, const Payload& data)>;
+  /// Receives only the wire bytes.
+  using BytesHandler =
+      std::function<void(const NodeId& from, const Bytes& data)>;
 
   Network(EventLoop& loop, Rng rng, LatencyModel latency = LatencyModel::wan())
       : loop_(loop), rng_(rng), latency_(latency) {}
@@ -105,22 +118,28 @@ class Network {
   /// either way, so attaching geo never shifts the rng stream structure.
   LatencyModel effective_latency(const NodeId& from, const NodeId& to) const;
 
-  void attach(const NodeId& id, Handler handler);
+  void attach_payload(const NodeId& id, Handler handler);
+  void attach(const NodeId& id, BytesHandler handler);
   void detach(const NodeId& id);
   bool is_attached(const NodeId& id) const { return handlers_.contains(id); }
 
   /// Send `data` from `from` to `to`. Silently dropped if `to` is detached
   /// (models a crashed peer) or the loss coin comes up. With a fault
-  /// injector attached, the injector adjudicates delivery instead.
+  /// injector attached, the injector adjudicates delivery instead. Counts
+  /// one message and the payload's size in bytes per call, however many
+  /// other sends share the payload.
+  void send(const NodeId& from, const NodeId& to, PayloadPtr data);
+  /// send() of bytes no other send shares.
   void send(const NodeId& from, const NodeId& to, Bytes data);
 
   /// Schedule delivery after `delay` seconds, bypassing latency/loss
   /// sampling. Used by the fault injector once it has made its decision.
   /// The in-flight message lives in a recycled slot pool, not a fresh
   /// closure capture — at thousands of nodes the per-message allocation
-  /// was the event loop's dominant cost.
+  /// was the event loop's dominant cost. The slot shares `data`; its bytes
+  /// are never copied.
   void deliver_after(double delay, const NodeId& from, const NodeId& to,
-                     Bytes data);
+                     PayloadPtr data);
 
   void set_fault_injector(FaultInjector* faults) noexcept { faults_ = faults; }
   FaultInjector* fault_injector() const noexcept { return faults_; }
@@ -137,8 +156,6 @@ class Network {
     return messages_delivered_;
   }
   std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
-  /// In-flight slot pool high-water mark (capacity actually retained).
-  std::size_t message_pool_size() const noexcept { return pool_.size(); }
 
   /// Register net.* metrics in `reg`: the lifetime counts above are bound
   /// as they are, the drop counters and the delay histogram are fed from
@@ -147,16 +164,17 @@ class Network {
   void attach_telemetry(obs::Registry& reg);
 
  private:
-  /// One in-flight message. Slots are recycled through free_slots_ so a
-  /// steady-state run stops allocating: the Bytes buffer is moved in on
-  /// acquire and its capacity retained on release.
+  /// One in-flight message. Slots are recycled through free_slots_ so the
+  /// pool stops growing in a steady-state run. A slot holds a reference to
+  /// the shared payload, never a copy of its bytes, and drops it once the
+  /// message is delivered.
   struct InFlight {
     NodeId from;
     NodeId to;
-    Bytes data;
+    PayloadPtr data;
   };
   std::uint32_t acquire_slot(const NodeId& from, const NodeId& to,
-                             Bytes&& data);
+                             PayloadPtr&& data);
   void deliver_slot(std::uint32_t slot);
 
   EventLoop& loop_;

@@ -61,10 +61,14 @@ std::vector<NodeId> Adversary::targets() const {
   return host_.peers().active_peers();
 }
 
-void Adversary::send_raw(const NodeId& to, const Message& msg) {
+void Adversary::send_raw(const std::vector<NodeId>& to, const Message& msg) {
   // straight onto the wire, bypassing the host's honest send paths and
-  // inventory bookkeeping — exactly what a modified client would do
-  host_.network().send(host_.id(), to, encode_message(msg));
+  // inventory bookkeeping — exactly what a modified client would do; one
+  // payload for every target
+  if (to.empty()) return;
+  const PayloadPtr payload = make_payload(encode_message(msg));
+  for (const NodeId& peer : to)
+    host_.network().send(host_.id(), peer, payload);
 }
 
 core::Block Adversary::forge_block() {
@@ -126,8 +130,7 @@ void Adversary::run_forger() {
   const U256 td =
       host_.chain().total_difficulty_of(block.header.parent_hash) +
       block.header.difficulty;
-  for (const NodeId& peer : t)
-    send_raw(peer, Message{NewBlock{block, td}});
+  send_raw(t, Message{NewBlock{block, td}});
   forged_.push_back(block);
   if (forged_.size() > 8) forged_.erase(forged_.begin());
   // re-push earlier forgeries: a hardened victim absorbs them from its
@@ -137,8 +140,7 @@ void Adversary::run_forger() {
     const U256 old_td =
         host_.chain().total_difficulty_of(old.header.parent_hash) +
         old.header.difficulty;
-    for (const NodeId& peer : t)
-      send_raw(peer, Message{NewBlock{old, old_td}});
+    send_raw(t, Message{NewBlock{old, old_td}});
   }
 }
 
@@ -155,7 +157,7 @@ void Adversary::run_withholder() {
     ann.hashes.push_back(k.digest());
   }
   counters_.phantom_announcements += ann.hashes.size();
-  for (const NodeId& peer : t) send_raw(peer, Message{ann});
+  send_raw(t, Message{ann});
 }
 
 void Adversary::run_spammer() {
@@ -186,7 +188,7 @@ void Adversary::run_spammer() {
   }
   last_fillers_ = std::move(fillers);
   counters_.txs_spammed += batch.transactions.size();
-  for (const NodeId& peer : t) send_raw(peer, Message{batch});
+  send_raw(t, Message{batch});
 }
 
 void Adversary::run_equivocator() {
@@ -206,8 +208,9 @@ void Adversary::run_equivocator() {
     clone.header.nonce = rng_.next();
     ++counters_.equivocations;
     // disjoint halves of the peer set get alternating clones
-    for (std::size_t i = 0; i < t.size(); ++i)
-      if (i % 2 == k % 2) send_raw(t[i], Message{NewBlock{clone, td}});
+    std::vector<NodeId> half;
+    for (std::size_t i = k % 2; i < t.size(); i += 2) half.push_back(t[i]);
+    send_raw(half, Message{NewBlock{clone, td}});
   }
 }
 
@@ -259,8 +262,9 @@ void EclipseAdversary::start() {
   for (std::size_t i = 0; i < sybils_.size(); ++i) {
     const NodeId sybil = sybils_[i];
     if (net.is_attached(sybil)) continue;  // paranoia: minted collision
-    net.attach(sybil, [this, i](const NodeId& from, const Bytes& wire) {
-      on_sybil_message(i, from, wire);
+    net.attach_payload(sybil, [this, i](const NodeId& from,
+                                        const Payload& payload) {
+      on_sybil_message(i, from, payload);
     });
   }
   schedule_next();
@@ -317,11 +321,11 @@ std::vector<NodeId> EclipseAdversary::sybils_closest_to(
 }
 
 void EclipseAdversary::on_sybil_message(std::size_t index, const NodeId& from,
-                                        const Bytes& wire) {
+                                        const Payload& payload) {
   if (!running_) return;
   const NodeId& sybil = sybils_[index];
-  const auto msg = decode_message(BytesView(wire.data(), wire.size()));
-  if (!msg) return;
+  const Message* msg = payload.message();
+  if (msg == nullptr) return;
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;

@@ -109,7 +109,7 @@ class Adversary {
   void tick();
   void schedule_next();
   std::vector<p2p::NodeId> targets() const;
-  void send_raw(const p2p::NodeId& to, const p2p::Message& msg);
+  void send_raw(const std::vector<p2p::NodeId>& to, const p2p::Message& msg);
 
   void run_forger();
   void run_withholder();
@@ -219,7 +219,7 @@ class EclipseAdversary {
   void tick();
   void schedule_next();
   void on_sybil_message(std::size_t index, const p2p::NodeId& from,
-                        const Bytes& wire);
+                        const p2p::Payload& payload);
   void send_from(const p2p::NodeId& sybil, const p2p::NodeId& to,
                  const p2p::Message& msg);
   /// Handshake-flood `target` from sybil `index` unless already engaged.

@@ -223,8 +223,9 @@ void FullNode::start(const std::vector<NodeId>& bootstrap) {
   peer_first_seen_.clear();
   last_head_change_time_ = network_.loop().now();
   eclipse_suspected_ = false;
-  network_.attach(id_, [this](const NodeId& from, const Bytes& wire) {
-    on_message(from, wire);
+  network_.attach_payload(id_, [this](const NodeId& from,
+                                       const Payload& payload) {
+    on_message(from, payload);
   });
   discovery_.bootstrap(bootstrap);
   const std::uint64_t gen = generation_;
@@ -375,14 +376,10 @@ void FullNode::send(const NodeId& to, const Message& msg) {
   network_.send(id_, to, encode_message(msg));
 }
 
-void FullNode::send_wire(const NodeId& to, const Bytes& wire) {
-  network_.send(id_, to, wire);
-}
-
-void FullNode::on_message(const NodeId& from, const Bytes& wire) {
+void FullNode::on_message(const NodeId& from, const Payload& payload) {
   if (!running_) return;
-  auto msg = decode_message(wire);
-  if (!msg) {
+  const Message* msg = payload.message();
+  if (msg == nullptr) {
     peers_.note_garbage(from);  // malformed: count against the sender
     return;
   }
@@ -392,7 +389,7 @@ void FullNode::on_message(const NodeId& from, const Bytes& wire) {
   // eth payloads require an active session
   const PeerSession* session = peers_.session(from);
   if (session == nullptr || session->state != PeerState::kActive) return;
-  handle_eth(from, *msg);
+  handle_eth(from, payload);
 }
 
 Status FullNode::make_status() const {
@@ -640,7 +637,7 @@ void FullNode::resolve_fetch(const Hash256& hash) {
   pending_fetch_.erase(hash);
 }
 
-void FullNode::handle_eth(const NodeId& from, const Message& msg) {
+void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -812,13 +809,15 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
             peers_.note_spam(from);
             return;
           }
-          // each transaction is hashed once here; the pool and the relay
-          // reuse that hash
+          // each transaction is hashed once per payload, whoever else
+          // received it; the pool and the relay reuse that hash
+          const std::vector<Hash256>& hashes = payload.tx_hashes();
           Transactions fresh;
           std::vector<Hash256> fresh_hashes;
           std::size_t junk = 0;
-          for (const core::Transaction& tx : m.transactions) {
-            const Hash256 hash = tx.hash();
+          for (std::size_t i = 0; i < m.transactions.size(); ++i) {
+            const core::Transaction& tx = m.transactions[i];
+            const Hash256& hash = hashes[i];
             if (session) session->mark_known(hash);
             const auto result =
                 pool_.add(tx, hash, chain_.head_state(), chain_.height());
@@ -843,7 +842,7 @@ void FullNode::handle_eth(const NodeId& from, const Message& msg) {
           // discovery / session messages never reach here
         }
       },
-      msg);
+      *payload.message());
 }
 
 void FullNode::import_and_relay(const NodeId& from, const core::Block& block) {
@@ -996,20 +995,22 @@ void FullNode::relay_block(const core::Block& block, bool became_head) {
   }
   auto [push, announce] =
       split_for_gossip(std::move(targets), options_.gossip, rng_);
-  // one encoding per message kind, shared by every peer that gets it
+  // one payload per message kind, shared by every peer that gets it
   if (!push.empty()) {
     const U256 td = chain_.total_difficulty_of(hash);
-    const Bytes wire = encode_message(Message{NewBlock{block, td}});
+    const PayloadPtr payload =
+        make_payload(encode_message(Message{NewBlock{block, td}}));
     for (const NodeId& peer : push) {
       peers_.session(peer)->mark_known(hash);
-      send_wire(peer, wire);
+      network_.send(id_, peer, payload);
     }
   }
   if (!announce.empty()) {
-    const Bytes wire = encode_message(Message{NewBlockHashes{{hash}}});
+    const PayloadPtr payload =
+        make_payload(encode_message(Message{NewBlockHashes{{hash}}}));
     for (const NodeId& peer : announce) {
       peers_.session(peer)->mark_known(hash);
-      send_wire(peer, wire);
+      network_.send(id_, peer, payload);
     }
   }
 }
@@ -1020,10 +1021,10 @@ void FullNode::relay_transactions(Transactions batch,
   const Message full{std::move(batch)};
   const std::vector<core::Transaction>& txs =
       std::get<Transactions>(full).transactions;
-  // Every peer that knows none of the batch gets the same bytes, so the
+  // Every peer that knows none of the batch gets the same payload, so the
   // batch is encoded at most once; a peer that already knows some of it
   // gets its own encoding of the rest.
-  std::optional<Bytes> full_wire;
+  PayloadPtr full_payload;
   std::vector<std::size_t> unknown;
   for (const NodeId& peer : peers_.active_peers()) {
     if (skip && peer == *skip) continue;
@@ -1037,8 +1038,8 @@ void FullNode::relay_transactions(Transactions batch,
     }
     if (unknown.empty()) continue;
     if (unknown.size() == txs.size()) {
-      if (!full_wire) full_wire = encode_message(full);
-      send_wire(peer, *full_wire);
+      if (!full_payload) full_payload = make_payload(encode_message(full));
+      network_.send(id_, peer, full_payload);
     } else {
       Transactions rest;
       for (const std::size_t i : unknown) rest.transactions.push_back(txs[i]);

@@ -322,8 +322,9 @@ class FullNode {
                         std::uint32_t lane = 0);
 
  private:
-  void on_message(const p2p::NodeId& from, const Bytes& wire);
-  void handle_eth(const p2p::NodeId& from, const p2p::Message& msg);
+  void on_message(const p2p::NodeId& from, const p2p::Payload& payload);
+  /// `payload` decoded to an eth message.
+  void handle_eth(const p2p::NodeId& from, const p2p::Payload& payload);
   void on_peer_active(const p2p::NodeId& peer, const p2p::Status& status);
   void tick();
   /// Eclipse-defense tick work (feelers, detector, anchors); only called
@@ -356,8 +357,6 @@ class FullNode {
                           const std::vector<Hash256>& hashes,
                           const std::optional<p2p::NodeId>& skip);
   void send(const p2p::NodeId& to, const p2p::Message& msg);
-  /// send() for an already-encoded message.
-  void send_wire(const p2p::NodeId& to, const Bytes& wire);
 
   /// chain_.import plus durability: imported blocks are appended to the
   /// attached store (skipped while a recovery replay is re-reading them).

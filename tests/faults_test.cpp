@@ -1,5 +1,5 @@
 // FaultInjector unit tests: link/node cuts, per-link latency overrides,
-// duplication, reordering, extra loss, drop filters, scheduled cut
+// duplication (one shared payload per copy), reordering, extra loss, drop filters, scheduled cut
 // windows, and the determinism of sampled churn schedules.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "crypto/keccak.hpp"
 #include "p2p/faults.hpp"
+#include "p2p/messages.hpp"
 #include "p2p/simnet.hpp"
 
 namespace forksim::p2p {
@@ -199,6 +200,37 @@ TEST(FaultInjectorTest, DropFilterSeesWireBytesAndEndpoints) {
   EXPECT_EQ(p.count_at(p.b), 1u);
   EXPECT_EQ(p.count_at(p.a), 1u);
   EXPECT_EQ(p.faults.counters().dropped_by_filter, 1u);
+}
+
+// Duplication copies the reference, not the message: both copies of a
+// duplicated send deliver the one payload, and the drop filter sees its
+// bytes once per send.
+TEST(FaultInjectorTest, DuplicatedCopiesShareOnePayload) {
+  Probe p;
+  p.faults.set_duplicate_prob(1.0);
+  std::vector<const Bytes*> filtered;
+  p.faults.set_drop_filter(
+      [&](const NodeId&, const NodeId&, const Bytes& wire) {
+        filtered.push_back(&wire);
+        return false;
+      });
+  std::vector<const Payload*> delivered;
+  p.network.attach_payload(p.b, [&](const NodeId&, const Payload& payload) {
+    delivered.push_back(&payload);
+  });
+  const PayloadPtr payload = make_payload(Bytes{0xc0});
+  p.network.send(p.a, p.b, payload);
+  p.network.send(p.a, p.b, payload);
+  p.loop.run();
+  ASSERT_EQ(filtered.size(), 2u);
+  for (const Bytes* wire : filtered) EXPECT_EQ(wire, &payload->wire());
+  ASSERT_EQ(delivered.size(), 4u);
+  for (const Payload* copy : delivered) EXPECT_EQ(copy, payload.get());
+  EXPECT_EQ(p.faults.counters().duplicated, 2u);
+  EXPECT_EQ(p.network.messages_sent(), 2u);
+  EXPECT_EQ(p.network.bytes_sent(), 2 * payload->size());
+  EXPECT_EQ(p.network.messages_delivered(), 4u);
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(FaultInjectorTest, DetachRestoresNormalDelivery) {

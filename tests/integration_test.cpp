@@ -315,6 +315,13 @@ class RelayStar {
     return n;
   }
 
+  /// Transactions pending in all the star's pools.
+  std::uint64_t pooled() const {
+    std::uint64_t n = relay_->txpool().size();
+    for (const auto& leaf : leaves_) n += leaf->txpool().size();
+    return n;
+  }
+
  private:
   p2p::EventLoop loop_;
   p2p::Network network_;
@@ -342,6 +349,7 @@ constexpr double kBetweenTicks = 32.5;
 struct RelayCost {
   std::uint64_t permutations = 0;
   std::uint64_t received = 0;
+  std::uint64_t admitted = 0;  // pool admissions
 };
 
 /// Keccak-f permutations the whole star spends while a k-transaction batch
@@ -354,23 +362,47 @@ RelayCost relay_cost(std::size_t peers, std::size_t k) {
   const std::vector<core::Transaction> txs = transfer_batch(k);
   const std::uint64_t permutations = keccak_permutations();
   const std::uint64_t received = star.txs_received();
+  const std::uint64_t pooled = star.pooled();
   star.hand_to_relay(0, txs);
   star.loop().run_until(star.loop().now() + 0.03);
   return {keccak_permutations() - permutations,
-          star.txs_received() - received};
+          star.txs_received() - received, star.pooled() - pooled};
 }
 
-// Each node hashes a received transaction once, whatever its peer count:
-// relaying to more peers costs no more Keccak work per received copy.
-TEST(TxRelayTest, KeccakWorkPerReceivedTxIsIndependentOfPeerCount) {
+// A received batch is hashed once per payload, not once per receiver: the
+// relay's one encoding reaches every other leaf as one shared payload, so
+// the star's Keccak work is the two payloads' transaction hashes plus one
+// precomputed-hash pool admission per receiver, at any peer count.
+TEST(TxRelayTest, ReceivedBatchIsHashedOncePerPayloadWhateverThePeerCount) {
   constexpr std::size_t k = 8;
-  const RelayCost two = relay_cost(2, k);
-  const RelayCost six = relay_cost(6, k);
-  // the relay and every other leaf each received the batch once
-  EXPECT_EQ(two.received, 2 * k);
-  EXPECT_EQ(six.received, 6 * k);
-  ASSERT_GT(two.permutations, 0u);
-  EXPECT_EQ(two.permutations * six.received, six.permutations * two.received);
+  const std::vector<core::Transaction> txs = transfer_batch(k);
+  // what hashing the batch costs, and what admitting it costs a pool that
+  // is handed the hashes (sender recovery), on the star's empty genesis
+  std::uint64_t start = keccak_permutations();
+  std::vector<Hash256> hashes;
+  for (const core::Transaction& tx : txs) hashes.push_back(tx.hash());
+  const std::uint64_t hash_cost = keccak_permutations() - start;
+  RelayStar fresh;
+  core::TxPool pool(fresh.relay().chain().config());
+  start = keccak_permutations();
+  for (std::size_t i = 0; i < k; ++i)
+    ASSERT_EQ(pool.add(txs[i], hashes[i], fresh.relay().chain().head_state(),
+                       fresh.relay().chain().height()),
+              core::PoolAddResult::kAdded);
+  const std::uint64_t admit_cost = keccak_permutations() - start;
+  ASSERT_GT(hash_cost, 0u);
+  ASSERT_GT(admit_cost, 0u);
+
+  for (const std::size_t peers : {2u, 6u}) {
+    SCOPED_TRACE(peers);
+    const RelayCost cost = relay_cost(peers, k);
+    // the relay and every other leaf each received and admitted the batch
+    EXPECT_EQ(cost.received, peers * k);
+    EXPECT_EQ(cost.admitted, peers * k);
+    // two payloads carried it: leaf 0's to the relay, and the relay's one
+    // encoding shared by every other leaf
+    EXPECT_EQ(cost.permutations, 2 * hash_cost + peers * admit_cost);
+  }
 }
 
 // A peer that already knows part of a relayed batch gets only the rest;

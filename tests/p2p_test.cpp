@@ -9,12 +9,14 @@
 #include "core/transaction.hpp"
 
 #include "crypto/keccak.hpp"
+#include "evm/executor.hpp"
 #include "p2p/discovery.hpp"
 #include "p2p/gossip.hpp"
 #include "p2p/kademlia.hpp"
 #include "p2p/messages.hpp"
 #include "p2p/peers.hpp"
 #include "p2p/simnet.hpp"
+#include "sim/node.hpp"
 
 namespace forksim::p2p {
 namespace {
@@ -180,6 +182,128 @@ TEST(NetworkTest, LatencyJitterVaries) {
   // all >= base latency, not all equal
   for (double t : arrivals) EXPECT_GE(t, 0.05);
   EXPECT_NE(arrivals.front(), arrivals.back());
+}
+
+// ---------------------------------------------------------- shared payload
+
+// One broadcast is one payload: every receiver gets the same object and
+// reads the same decoded message, while the network counts one message and
+// the payload's size per send.
+TEST(SharedPayloadTest, EveryReceiverOfABroadcastReadsOneDecodedMessage) {
+  EventLoop loop;
+  Network net(loop, Rng(1), LatencyModel{0.01, 0.0, 0.0, 0.0});
+  constexpr std::size_t kReceivers = 4;
+  std::vector<const Payload*> payloads;
+  std::vector<const Message*> messages;
+  for (std::size_t i = 1; i <= kReceivers; ++i)
+    net.attach_payload(nid(i), [&](const NodeId&, const Payload& p) {
+      payloads.push_back(&p);
+      messages.push_back(p.message());
+    });
+  const PayloadPtr payload =
+      make_payload(encode_message(Message{NewBlockHashes{{nid(9), nid(10)}}}));
+  for (std::size_t i = 1; i <= kReceivers; ++i)
+    net.send(nid(0), nid(i), payload);
+  EXPECT_EQ(net.messages_sent(), kReceivers);
+  EXPECT_EQ(net.bytes_sent(), kReceivers * payload->size());
+  loop.run();
+
+  ASSERT_EQ(payloads.size(), kReceivers);
+  ASSERT_NE(messages[0], nullptr);
+  for (std::size_t i = 0; i < kReceivers; ++i) {
+    EXPECT_EQ(payloads[i], payload.get());
+    EXPECT_EQ(messages[i], messages[0]);
+  }
+  EXPECT_EQ(std::get<NewBlockHashes>(*messages[0]).hashes,
+            (std::vector<Hash256>{nid(9), nid(10)}));
+  EXPECT_EQ(net.messages_delivered(), kReceivers);
+  // the in-flight slots released their references on delivery
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+// The memos fill in once: a repeated call returns the same object, a
+// failed decode is kept as a failure, and each transaction hash equals the
+// transaction's own.
+TEST(SharedPayloadTest, DecodeAndTransactionHashesAreMemoized) {
+  const PrivateKey key = PrivateKey::from_seed(5);
+  Transactions batch;
+  for (std::uint64_t nonce = 0; nonce < 3; ++nonce)
+    batch.transactions.push_back(core::make_transaction(
+        key, nonce, derive_address(PrivateKey::from_seed(6)), core::ether(1),
+        std::nullopt));
+  const Payload txs(encode_message(Message{batch}));
+  const Message* msg = txs.message();
+  ASSERT_NE(msg, nullptr);
+  EXPECT_EQ(txs.message(), msg);
+  const std::uint64_t start = keccak_permutations();
+  const std::vector<Hash256>& hashes = txs.tx_hashes();
+  const std::uint64_t hashing = keccak_permutations() - start;
+  EXPECT_GT(hashing, 0u);
+  ASSERT_EQ(hashes.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(hashes[i], batch.transactions[i].hash());
+  const std::uint64_t again = keccak_permutations();
+  EXPECT_EQ(&txs.tx_hashes(), &hashes);
+  EXPECT_EQ(keccak_permutations(), again);
+
+  const Payload ping(encode_message(Message{Ping{}}));
+  EXPECT_TRUE(ping.tx_hashes().empty());
+
+  const Payload garbage(Bytes{0xde, 0xad, 0xbe, 0xef});
+  EXPECT_EQ(garbage.message(), nullptr);
+  EXPECT_EQ(garbage.message(), nullptr);
+  EXPECT_TRUE(garbage.tx_hashes().empty());
+}
+
+// A malformed broadcast fails one shared decode, and every FullNode that
+// receives it still blames the sender: one garbage demerit (-3) each, as
+// for unicast garbage.
+TEST(SharedPayloadTest, MalformedBroadcastCostsTheSenderAtEveryNode) {
+  EventLoop loop;
+  Network net(loop, Rng(1), LatencyModel{0.01, 0.0, 0.0, 0.0});
+  evm::EvmExecutor executor;
+  sim::NodeOptions options;
+  options.genesis_difficulty = U256(100'000);
+  std::vector<std::unique_ptr<sim::FullNode>> nodes;
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    nodes.push_back(std::make_unique<sim::FullNode>(
+        net, nid(i), core::ChainConfig::mainnet_pre_fork(), executor,
+        core::GenesisAlloc{}, Rng(i), options));
+    nodes.back()->start({});
+  }
+  // a scripted endpoint handshakes with all three nodes
+  const NodeId sender = nid(97);
+  net.attach(sender, [](const NodeId&, const Bytes&) {});
+  const core::Blockchain& chain = nodes[0]->chain();
+  Status status;
+  status.network_id = chain.config().chain_id;
+  status.genesis_hash = chain.genesis().hash();
+  status.head_hash = chain.head().hash();
+  status.head_number = chain.height();
+  status.total_difficulty = chain.head_total_difficulty();
+  const PayloadPtr hello = make_payload(encode_message(Message{status}));
+  for (const auto& node : nodes) net.send(sender, node->id(), hello);
+  loop.run_until(loop.now() + 1.0);
+  std::vector<int> scores;
+  for (const auto& node : nodes) {
+    ASSERT_EQ(node->peers().active_count(), 1u);
+    scores.push_back(node->peers().session(sender)->score);
+  }
+
+  const PayloadPtr garbage = make_payload(Bytes{0xde, 0xad, 0xbe, 0xef});
+  const std::uint64_t sent = net.messages_sent();
+  const std::uint64_t bytes = net.bytes_sent();
+  for (const auto& node : nodes) net.send(sender, node->id(), garbage);
+  loop.run_until(loop.now() + 1.0);
+  EXPECT_EQ(net.messages_sent() - sent, 3u);
+  EXPECT_EQ(net.bytes_sent() - bytes, 3 * garbage->size());
+  EXPECT_EQ(garbage->message(), nullptr);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PeerSession* session = nodes[i]->peers().session(sender);
+    ASSERT_NE(session, nullptr);
+    EXPECT_EQ(session->score, scores[i] - 3);
+    EXPECT_FALSE(nodes[i]->peers().is_banned(sender));
+  }
 }
 
 // ---------------------------------------------------------------- kademlia
