@@ -17,41 +17,15 @@
 #include <string>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/chaos.hpp"
 #include "support/table.hpp"
 
 using namespace forksim;
 using namespace forksim::sim;
 
-namespace {
-
-ChaosParams base_params() {
-  ChaosParams cp;
-  cp.scenario.nodes_eth = 10;
-  cp.scenario.nodes_etc = 5;
-  cp.scenario.miners_per_side_eth = 3;
-  cp.scenario.miners_per_side_etc = 2;
-  cp.scenario.total_hashrate = 3e4;
-  cp.scenario.etc_hashpower_fraction = 0.25;
-  cp.scenario.fork_block = 10;
-  cp.scenario.seed = 7;
-  // network faults and churn off: this ablation isolates the Byzantine
-  // layer (A6 covers loss/cut/churn; the chaos soak example combines them)
-  cp.extra_loss = 0.0;
-  cp.duplicate_prob = 0.0;
-  cp.reorder_prob = 0.0;
-  cp.cut_start = -1.0;
-  cp.churn_fraction = 0.0;
-  cp.mining_duration = 1500.0;
-  cp.settle_deadline = 1200.0;
-  return cp;
-}
-
-}  // namespace
-
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_adversary(std::uint64_t seed, bool,
+                                      obs::BenchRecord& rec) {
   std::cout << "== Ablation A7: partition convergence under Byzantine peers ==\n";
   std::cout << "(15 full nodes through the fork; hostile fraction swept "
                "0% -> 33%, all four agent kinds round-robin)\n\n";
@@ -62,8 +36,10 @@ int main() {
     ChaosReport report;
   };
   std::vector<Row> rows;
+  // network faults and churn off: this ablation isolates the Byzantine
+  // layer (A6 covers loss/cut/churn; the chaos soak example combines them)
   for (double fraction : {0.0, 0.10, 0.25, 0.33}) {
-    ChaosParams cp = base_params();
+    ChaosParams cp = quiet_chaos(seed);
     cp.adversaries.fraction = fraction;
     ChaosRunner runner(cp);
     rows.push_back(
@@ -140,9 +116,7 @@ int main() {
                f33.blocks_forged + f33.txs_spammed + f33.equivocations >
                    f10.blocks_forged + f10.txs_spammed + f10.equivocations,
                "more agents, more junk");
-  check.print(std::cout);
 
-  obs::BenchRecord rec("ablate_adversary");
   for (const Row& r : rows) {
     const std::string tag = "f" + fmt(r.fraction * 100.0, 0);
     rec.metric(tag + "_settle_seconds", r.report.time_to_convergence);
@@ -152,6 +126,5 @@ int main() {
                static_cast<std::uint64_t>(r.report.attackers_banned));
     rec.param(tag + "_converged", r.report.converged);
   }
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

@@ -15,16 +15,15 @@
 // node takes the hotfix and deep-reorgs home, and the whole sweep replays
 // bit-identically from the seed.
 //
-//   ./build/bench/ablate_clients [--reduced]
+//   ./build/bench/forksim_bench ablate_clients [--reduced]
 //
 // --reduced runs a two-cell {0, 25%} slice (used by the sanitizer CI
 // job); it prints the same checks but skips the bench record.
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/matrix.hpp"
 #include "support/table.hpp"
 
@@ -33,7 +32,7 @@ using namespace forksim::sim;
 
 namespace {
 
-MatrixParams default_clients_matrix(bool reduced) {
+MatrixParams default_clients_matrix(std::uint64_t seed, bool reduced) {
   MatrixParams mp;
   ChaosParams& cp = mp.base;
   cp.scenario.nodes_eth = 12;
@@ -43,7 +42,7 @@ MatrixParams default_clients_matrix(bool reduced) {
   cp.scenario.total_hashrate = 3e4;
   cp.scenario.etc_hashpower_fraction = 0.25;
   cp.scenario.fork_block = 6;
-  cp.scenario.seed = 15;
+  cp.scenario.seed = seed;
   // carried through compose_cell: the quirk disputes every in-window
   // block — the 2020 OpenEthereum stall shape
   cp.scenario.clients.trigger_modulus = 1;
@@ -88,15 +87,25 @@ const ChaosReport::ClientFamilyReport* parity_of(const ChaosReport& r) {
   return nullptr;
 }
 
+void cell_metrics(obs::BenchRecord& rec, const std::string& tag,
+                  const MatrixCell& c) {
+  rec.metric(tag + "_disputed_blocks", c.report.disputed_blocks);
+  rec.metric(tag + "_divergence_events", c.report.divergence_events);
+  rec.metric(tag + "_consensus_patches", c.report.consensus_patches);
+  rec.metric(tag + "_honest_ban_events", c.report.honest_ban_events);
+  if (const auto* parity = parity_of(c.report)) {
+    rec.metric(tag + "_parity_availability_during",
+               parity->availability.during_failure);
+    rec.metric(tag + "_parity_divergence_seconds",
+               parity->divergence_seconds);
+  }
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool reduced = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--reduced") == 0) reduced = true;
-
-  obs::WallTimer bench_timer;
-  const MatrixParams mp = default_clients_matrix(reduced);
+bench::Report bench::ablate_clients(std::uint64_t seed, bool reduced,
+                                    obs::BenchRecord& rec) {
+  const MatrixParams mp = default_clients_matrix(seed, reduced);
   std::cout << "== Ablation A13: client diversity & consensus bugs ==\n"
             << (reduced ? "(reduced sanitizer slice)\n" : "")
             << "minority share swept over {";
@@ -183,38 +192,9 @@ int main(int argc, char** argv) {
   check.expect("re-running a cell reproduces its fingerprint bit for bit",
                rerun.fingerprint == heaviest.report.fingerprint,
                "heaviest cell re-run matches");
-  check.print(std::cout);
 
-  if (!reduced) {
-    obs::BenchRecord rec("ablate_clients");
-    rec.param("cells", static_cast<std::uint64_t>(report.cells.size()));
-    rec.param("seed", static_cast<std::uint64_t>(mp.base.scenario.seed));
-    rec.param("quorum_fraction", mp.base.probe.quorum_fraction);
-    rec.param("trigger_modulus", static_cast<std::uint64_t>(
-                                     mp.base.scenario.clients.trigger_modulus));
-    rec.param("fingerprint", report.fingerprint.hex());
-    for (const MatrixCell& c : report.cells) {
-      const std::string tag = cell_tag(c.spec);
-      const AvailabilityStats& a = c.report.availability;
-      const auto* parity = parity_of(c.report);
-      rec.param(tag + "_converged", c.report.converged);
-      rec.metric(tag + "_availability_pre", a.pre);
-      rec.metric(tag + "_availability_during", a.during_failure);
-      rec.metric(tag + "_availability_post", a.post);
-      rec.metric(tag + "_time_to_heal", a.time_to_heal);
-      rec.metric(tag + "_disputed_blocks", c.report.disputed_blocks);
-      rec.metric(tag + "_divergence_events", c.report.divergence_events);
-      rec.metric(tag + "_consensus_patches", c.report.consensus_patches);
-      rec.metric(tag + "_honest_ban_events", c.report.honest_ban_events);
-      rec.metric(tag + "_settle_seconds", c.report.time_to_convergence);
-      if (parity != nullptr) {
-        rec.metric(tag + "_parity_availability_during",
-                   parity->availability.during_failure);
-        rec.metric(tag + "_parity_divergence_seconds",
-                   parity->divergence_seconds);
-      }
-    }
-    analysis::write_bench_record(rec, check, bench_timer.seconds());
-  }
-  return check.all_passed() ? 0 : 1;
+  rec.param("trigger_modulus", static_cast<std::uint64_t>(
+                                   mp.base.scenario.clients.trigger_modulus));
+  record_cells(rec, mp, report, cell_tag, cell_metrics);
+  return {std::move(check)};
 }

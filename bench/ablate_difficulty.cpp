@@ -17,7 +17,7 @@
 #include <iostream>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/fastsim.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -73,8 +73,8 @@ std::string rule_name(core::RetargetRule rule) {
 
 }  // namespace
 
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_difficulty(std::uint64_t seed, bool,
+                                       obs::BenchRecord&) {
   std::cout << "== Ablation A1: difficulty retarget rule vs fork recovery ==\n";
   std::cout << "(recovery = 60-block mean interval back within 25% of 14 s)\n\n";
 
@@ -91,7 +91,7 @@ int main() {
 
   for (const auto rule : rules) {
     for (const double loss : losses) {
-      const Outcome out = run(rule, loss, 99);
+      const Outcome out = run(rule, loss, seed);
       table.add_row({std::string(rule_name(rule)), fmt(loss * 100, 0) + "%",
                      out.recovery_hours < 0 ? "never (>480h)"
                                             : fmt(out.recovery_hours, 1),
@@ -120,9 +120,5 @@ int main() {
   check.expect("epoch averaging also beats the capped rule",
                epoch_99 > 0 && epoch_99 < homestead_99,
                "epoch " + fmt(epoch_99, 1) + " h");
-  check.print(std::cout);
-
-  obs::BenchRecord rec("ablate_difficulty");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

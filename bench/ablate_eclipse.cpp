@@ -11,58 +11,23 @@
 // the isolation detector fired and recovered it, and that no defense ever
 // banned an honest peer.
 //
-// Usage:
-//   ./build/bench/ablate_eclipse [--reduced]
+//   ./build/bench/forksim_bench ablate_eclipse [--reduced]
 //
 // --reduced runs the three-row {off-budget-32, on-budget-32, baseline}
-// slice (used by the sanitizer CI job).
-#include <cstring>
+// slice (used by the sanitizer CI job) and writes no bench record.
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/chaos.hpp"
 #include "support/table.hpp"
 
 using namespace forksim;
 using namespace forksim::sim;
 
-namespace {
-
-ChaosParams base_params() {
-  ChaosParams cp;
-  cp.scenario.nodes_eth = 8;
-  cp.scenario.nodes_etc = 3;
-  cp.scenario.miners_per_side_eth = 2;
-  cp.scenario.miners_per_side_etc = 1;
-  cp.scenario.total_hashrate = 3e4;
-  cp.scenario.etc_hashpower_fraction = 0.25;
-  cp.scenario.fork_block = 6;
-  cp.scenario.seed = 1014;
-  // faults / churn / Byzantine agents off: this ablation isolates the
-  // discovery layer (A7 covers hostile peers, A6 loss/cut/churn)
-  cp.extra_loss = 0.0;
-  cp.duplicate_prob = 0.0;
-  cp.reorder_prob = 0.0;
-  cp.cut_start = -1.0;
-  cp.churn_fraction = 0.0;
-  cp.mining_duration = 300.0;
-  cp.settle_deadline = 300.0;
-  cp.eclipse.victims = 1;
-  cp.eclipse.start = 30.0;
-  cp.eclipse.interval = 2.0;
-  return cp;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bool reduced = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--reduced") == 0) reduced = true;
-
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_eclipse(std::uint64_t seed, bool reduced,
+                                    obs::BenchRecord& rec) {
   std::cout << "== Ablation A14: eclipse attack vs hardened discovery ==\n"
             << (reduced ? "(reduced sanitizer slice)\n" : "")
             << "(11 full nodes through the fork; one victim, sybil budget "
@@ -74,9 +39,22 @@ int main(int argc, char** argv) {
     bool defended;
     ChaosReport report;
   };
+  // faults / churn / Byzantine agents off: this ablation isolates the
+  // discovery layer (A7 covers hostile peers, A6 loss/cut/churn)
+  ChaosParams base = quiet_chaos(seed);
+  base.scenario.nodes_eth = 8;
+  base.scenario.nodes_etc = 3;
+  base.scenario.miners_per_side_eth = 2;
+  base.scenario.miners_per_side_etc = 1;
+  base.scenario.fork_block = 6;
+  base.mining_duration = 300.0;
+  base.settle_deadline = 300.0;
+  base.eclipse.victims = 1;
+  base.eclipse.start = 30.0;
+  base.eclipse.interval = 2.0;
   std::vector<Row> rows;
-  const auto add_row = [&rows](std::size_t budget, bool defended) {
-    ChaosParams cp = base_params();
+  const auto add_row = [&rows, &base](std::size_t budget, bool defended) {
+    ChaosParams cp = base;
     cp.eclipse.budget = budget;
     cp.eclipse.defenses = defended;
     ChaosRunner runner(cp);
@@ -175,9 +153,7 @@ int main(int argc, char** argv) {
                    off32->report.eclipse_withheld_requests > 0,
                std::to_string(off32->report.eclipse_status_floods) +
                    " handshake floods at budget 32");
-  check.print(std::cout);
 
-  obs::BenchRecord rec("ablate_eclipse");
   for (const Row& r : rows) {
     const std::string tag = "b" + std::to_string(r.budget) +
                             (r.budget == 0 ? "" : r.defended ? "_on" : "_off");
@@ -191,7 +167,5 @@ int main(int argc, char** argv) {
     rec.metric(tag + "_recoveries", r.report.eclipse_recoveries);
     rec.param(tag + "_converged", r.report.converged);
   }
-  rec.param("reduced", reduced);
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

@@ -14,40 +14,15 @@
 #include <iostream>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/chaos.hpp"
 #include "support/table.hpp"
 
 using namespace forksim;
 using namespace forksim::sim;
 
-namespace {
-
-ChaosParams base_params() {
-  ChaosParams cp;
-  cp.scenario.nodes_eth = 10;
-  cp.scenario.nodes_etc = 5;
-  cp.scenario.miners_per_side_eth = 3;
-  cp.scenario.miners_per_side_etc = 2;
-  cp.scenario.total_hashrate = 3e4;
-  cp.scenario.etc_hashpower_fraction = 0.25;
-  cp.scenario.fork_block = 10;
-  cp.scenario.seed = 7;
-  // all faults off; each row below switches its own adversity on
-  cp.extra_loss = 0.0;
-  cp.duplicate_prob = 0.0;
-  cp.reorder_prob = 0.0;
-  cp.cut_start = -1.0;
-  cp.churn_fraction = 0.0;
-  cp.mining_duration = 1500.0;
-  cp.settle_deadline = 1200.0;
-  return cp;
-}
-
-}  // namespace
-
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_faults(std::uint64_t seed, bool,
+                                   obs::BenchRecord&) {
   std::cout << "== Ablation A6: partition convergence under adversity ==\n";
   std::cout << "(15 full nodes through the fork; loss / cut / churn swept "
                "separately, then combined)\n\n";
@@ -62,30 +37,32 @@ int main() {
     rows.push_back({name, runner.run()});
   };
 
-  sweep("baseline (no faults)", base_params());
+  // all faults off; each row below switches its own adversity on
+  const ChaosParams quiet = quiet_chaos(seed);
+  sweep("baseline (no faults)", quiet);
 
   {
-    ChaosParams cp = base_params();
+    ChaosParams cp = quiet;
     cp.extra_loss = 0.10;
     sweep("10% loss", cp);
   }
   {
-    ChaosParams cp = base_params();
+    ChaosParams cp = quiet;
     cp.extra_loss = 0.25;
     sweep("25% loss", cp);
   }
   {
-    ChaosParams cp = base_params();
+    ChaosParams cp = quiet;
     cp.cut_start = 300.0;
     cp.cut_duration = 60.0;
     sweep("60 s bisection cut", cp);
   }
   {
-    ChaosParams cp = base_params();
+    ChaosParams cp = quiet;
     cp.churn_fraction = 0.20;
     sweep("20% churn", cp);
   }
-  ChaosParams acceptance = base_params();
+  ChaosParams acceptance = quiet;
   acceptance.extra_loss = 0.10;
   acceptance.duplicate_prob = 0.02;
   acceptance.reorder_prob = 0.05;
@@ -144,9 +121,5 @@ int main() {
                combined.survivors_eth > 0 && combined.survivors_etc > 0,
                std::to_string(combined.survivors_eth) + " eth / " +
                    std::to_string(combined.survivors_etc) + " etc");
-  check.print(std::cout);
-
-  obs::BenchRecord rec("ablate_faults");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

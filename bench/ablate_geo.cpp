@@ -11,12 +11,12 @@
 // same deterministic engine; the internet row re-runs as the bit-identity
 // witness.
 //
-//   ./build/bench/ablate_geo
+//   ./build/bench/forksim_bench ablate_geo
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/scalesim.hpp"
 #include "support/table.hpp"
 
@@ -31,22 +31,12 @@ struct Row {
   ScaleReport report;
 };
 
-ScaleParams base_params() {
-  ScaleParams p;
-  p.nodes = 1000;
-  p.topology.degree = 16;
-  p.miners = 24;
-  p.block_interval = 13.0;
-  p.duration = 7200.0;  // ~550 blocks: enough for stable win shares
-  p.uniform_base = 0.05;
-  p.seed = 1920;  // the ETC side's fork block stayed at 1920000
-  return p;
-}
-
-Row make_row(const std::string& tag, double rtt_factor) {
+Row make_row(const std::string& tag, double rtt_factor, std::uint64_t seed) {
   Row row;
   row.tag = tag;
-  row.params = base_params();
+  row.params = bench::flat_scale(1000, seed);
+  row.params.topology.degree = 16;
+  row.params.duration = 7200.0;  // ~550 blocks: enough for stable win shares
   if (rtt_factor > 0.0) {
     row.params.geo = p2p::GeoParams::internet().scaled(rtt_factor);
     row.params.geo.enabled = true;
@@ -56,16 +46,16 @@ Row make_row(const std::string& tag, double rtt_factor) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_geo(std::uint64_t seed, bool,
+                                obs::BenchRecord& rec) {
   std::vector<Row> rows;
-  rows.push_back(make_row("flat50ms", 0.0));
-  rows.push_back(make_row("internet", 1.0));
-  rows.push_back(make_row("internet_x3", 3.0));
+  rows.push_back(make_row("flat50ms", 0.0, seed));
+  rows.push_back(make_row("internet", 1.0, seed));
+  rows.push_back(make_row("internet_x3", 3.0, seed));
 
   std::cout << "== Ablation A11: geography vs propagation and fairness ==\n"
             << "1000 nodes, uniform k=16 mesh, 24 equal miners, "
-            << base_params().duration << " s of mining per row\n\n";
+            << rows.front().params.duration << " s of mining per row\n\n";
 
   for (Row& row : rows) {
     ScaleSim sim(row.params);
@@ -140,11 +130,8 @@ int main(int argc, char** argv) {
   check.expect("same seed, fresh engine: bit-identical fingerprint",
                rerun.fingerprint == internet.report.fingerprint,
                "internet re-run matches");
-  check.print(std::cout);
 
-  obs::BenchRecord rec("ablate_geo");
-  rec.param("nodes", static_cast<std::uint64_t>(base_params().nodes));
-  rec.param("seed", static_cast<std::uint64_t>(base_params().seed));
+  rec.param("nodes", static_cast<std::uint64_t>(internet.params.nodes));
   rec.param("fingerprint_internet", internet.report.fingerprint.hex());
   for (const Row& row : rows) {
     rec.metric(row.tag + "_prop_p50", row.report.prop_p50);
@@ -159,8 +146,5 @@ int main(int argc, char** argv) {
     rec.metric("region_" + r.name + "_stale_rate", r.stale_rate);
     rec.metric("region_" + r.name + "_fairness", r.fairness);
   }
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  (void)argc;
-  (void)argv;
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

@@ -13,7 +13,7 @@
 #include <iostream>
 #include <memory>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "core/receipt.hpp"
 #include "evm/executor.hpp"
 #include "sim/miner.hpp"
@@ -113,8 +113,8 @@ Result run(double push_exponent, p2p::LatencyModel latency,
 
 }  // namespace
 
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_gossip(std::uint64_t seed, bool,
+                                   obs::BenchRecord&) {
   std::cout << "== Ablation A3: gossip fanout & latency ==\n";
   std::cout << "(16 full nodes, 2 competing miners, live tx workload, "
                "30 simulated minutes)\n\n";
@@ -141,7 +141,7 @@ int main() {
   Result flood_wan{};
   Result announce_wan{};
   for (const auto& config : configs) {
-    const Result r = run(config.exponent, config.latency, 42);
+    const Result r = run(config.exponent, config.latency, seed);
     table.add_row({config.name, config.lat_name, fmt(r.avg_height_lag, 2),
                    fmt(r.stale_rate * 100, 1) + "%",
                    fmt(r.bytes_per_block / 1024.0, 1),
@@ -169,9 +169,5 @@ int main() {
   check.expect("transient forks occur but stay rare (paper §2.1)",
                sqrt_wan.stale_rate < 0.2,
                fmt(sqrt_wan.stale_rate * 100, 1) + "% stale");
-  check.print(std::cout);
-
-  obs::BenchRecord rec("ablate_gossip");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

@@ -13,17 +13,15 @@
 // the partition closes. The whole grid replays bit-identically from the
 // seed and lands in one heatmap-ready BENCH_matrix.json.
 //
-//   ./build/bench/ablate_matrix [--reduced]
+//   ./build/bench/forksim_bench ablate_matrix [--reduced]
 //
 // --reduced runs a 2x2x1x1 corner of the grid (used by the sanitizer CI
 // job); it prints the same checks but skips the bench record.
-#include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/matrix.hpp"
 #include "support/table.hpp"
 
@@ -32,7 +30,7 @@ using namespace forksim::sim;
 
 namespace {
 
-MatrixParams default_matrix(bool reduced) {
+MatrixParams default_matrix(std::uint64_t seed, bool reduced) {
   MatrixParams mp;
   ChaosParams& cp = mp.base;
   cp.scenario.nodes_eth = 6;
@@ -42,7 +40,7 @@ MatrixParams default_matrix(bool reduced) {
   cp.scenario.total_hashrate = 3e4;
   cp.scenario.etc_hashpower_fraction = 0.25;
   cp.scenario.fork_block = 8;
-  cp.scenario.seed = 9;
+  cp.scenario.seed = seed;
   // message-level faults off: the axes supply the adversity, so the
   // all-zero cell is a true control (>= 99% available in every phase)
   cp.extra_loss = 0.0;
@@ -96,15 +94,20 @@ bool all_zero_axes(const MatrixCellSpec& s) {
          s.partitioned_share == 0.0;
 }
 
+void cell_metrics(obs::BenchRecord& rec, const std::string& tag,
+                  const MatrixCell& c) {
+  rec.metric(tag + "_degraded_seconds",
+             c.report.availability.degraded_seconds);
+  rec.metric(tag + "_peers_banned", c.report.peers_banned);
+  rec.metric(tag + "_blocks_replayed", c.report.store_blocks_replayed);
+  rec.metric(tag + "_replay_rejected", c.report.store_replay_rejected);
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool reduced = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--reduced") == 0) reduced = true;
-
-  obs::WallTimer bench_timer;
-  const MatrixParams mp = default_matrix(reduced);
+bench::Report bench::ablate_matrix(std::uint64_t seed, bool reduced,
+                                   obs::BenchRecord& rec) {
+  const MatrixParams mp = default_matrix(seed, reduced);
   std::cout << "== Ablation A9: failure-scenario matrix ==\n"
             << (reduced ? "(reduced sanitizer grid)\n" : "")
             << mp.axes.byzantine_share.size() << " byzantine x "
@@ -180,29 +183,7 @@ int main(int argc, char** argv) {
   check.expect("re-running a cell reproduces its fingerprint bit for bit",
                rerun.fingerprint == heaviest.report.fingerprint,
                "heaviest cell re-run matches");
-  check.print(std::cout);
 
-  if (!reduced) {
-    obs::BenchRecord rec("matrix");
-    rec.param("cells", static_cast<std::uint64_t>(report.cells.size()));
-    rec.param("seed", static_cast<std::uint64_t>(mp.base.scenario.seed));
-    rec.param("quorum_fraction", mp.base.probe.quorum_fraction);
-    rec.param("fingerprint", report.fingerprint.hex());
-    for (const MatrixCell& c : report.cells) {
-      const std::string tag = cell_tag(c.spec);
-      const AvailabilityStats& a = c.report.availability;
-      rec.param(tag + "_converged", c.report.converged);
-      rec.metric(tag + "_availability_pre", a.pre);
-      rec.metric(tag + "_availability_during", a.during_failure);
-      rec.metric(tag + "_availability_post", a.post);
-      rec.metric(tag + "_degraded_seconds", a.degraded_seconds);
-      rec.metric(tag + "_time_to_heal", a.time_to_heal);
-      rec.metric(tag + "_settle_seconds", c.report.time_to_convergence);
-      rec.metric(tag + "_peers_banned", c.report.peers_banned);
-      rec.metric(tag + "_blocks_replayed", c.report.store_blocks_replayed);
-      rec.metric(tag + "_replay_rejected", c.report.store_replay_rejected);
-    }
-    analysis::write_bench_record(rec, check, bench_timer.seconds());
-  }
-  return check.all_passed() ? 0 : 1;
+  record_cells(rec, mp, report, cell_tag, cell_metrics);
+  return {std::move(check)};
 }

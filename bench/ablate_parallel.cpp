@@ -12,17 +12,16 @@
 // >= 4 hardware threads — on smaller runners the speedup is reported as a
 // metric but not gated (a 1-core container cannot speed anything up).
 //
-//   ./build/bench/ablate_parallel [--reduced]
+//   ./build/bench/forksim_bench ablate_parallel [--reduced]
 //
 // --reduced runs a 128-node slice at shards {1,2} (the sanitizer/TSan CI
 // slice) and skips the bench record.
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/scalesim.hpp"
 #include "support/table.hpp"
 
@@ -39,15 +38,9 @@ struct Row {
   double wall = 0.0;
 };
 
-ScaleParams flat_params(std::size_t nodes) {
-  ScaleParams p;
-  p.nodes = nodes;
+ScaleParams flat_params(std::size_t nodes, std::uint64_t seed) {
+  ScaleParams p = bench::flat_scale(nodes, seed);
   p.topology.degree = 16;
-  p.miners = 24;
-  p.block_interval = 13.0;
-  p.duration = 3600.0;
-  p.uniform_base = 0.05;
-  p.seed = 1916;
   return p;
 }
 
@@ -63,33 +56,29 @@ Row make_row(const std::string& config, ScaleParams params,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool reduced = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--reduced") == 0) reduced = true;
-
+bench::Report bench::ablate_parallel(std::uint64_t seed, bool reduced,
+                                     obs::BenchRecord& rec) {
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  obs::WallTimer bench_timer;
 
   std::vector<Row> rows;
   if (reduced) {
-    ScaleParams small = flat_params(128);
+    ScaleParams small = flat_params(128, seed);
     small.duration = 900.0;
     rows.push_back(make_row("u16_128", small, 1));
     rows.push_back(make_row("u16_128", small, 2));
   } else {
-    const ScaleParams flat1k = flat_params(1000);
+    const ScaleParams flat1k = flat_params(1000, seed);
     for (const std::size_t k : {1u, 2u, 4u, 8u})
       rows.push_back(make_row("u16_1000", flat1k, k));
 
-    ScaleParams geo1k = flat_params(1000);
+    ScaleParams geo1k = flat_params(1000, seed);
     geo1k.geo = p2p::GeoParams::internet();
     geo1k.geo.enabled = true;
-    geo1k.geo.seed = 1916;
+    geo1k.geo.seed = seed;
     rows.push_back(make_row("geo_1000", geo1k, 1));
     rows.push_back(make_row("geo_1000", geo1k, 4));
 
-    ScaleParams flat5k = flat_params(5000);
+    ScaleParams flat5k = flat_params(5000, seed);
     rows.push_back(make_row("u16_5000", flat5k, 1));
     rows.push_back(make_row("u16_5000", flat5k, 4));
   }
@@ -172,12 +161,9 @@ int main(int argc, char** argv) {
   if (!reduced) {
     // the acceptance criterion: >= 1.5x at 4 shards on the 5k-node run —
     // gated on the host actually having the cores to show it
-    double wall_5k_1 = 0.0, wall_5k_4 = 0.0;
-    for (const Row& row : rows) {
-      if (row.config != "u16_5000") continue;
-      (row.params.num_shards == 1 ? wall_5k_1 : wall_5k_4) = row.wall;
-    }
-    const double speedup = wall_5k_4 > 0.0 ? wall_5k_1 / wall_5k_4 : 0.0;
+    const double wall_5k_4 = rows.back().wall;  // u16_5000_k4
+    const double speedup =
+        wall_5k_4 > 0.0 ? reference_wall("u16_5000") / wall_5k_4 : 0.0;
     if (hw_threads >= 4) {
       check.expect("5000-node run speeds up >= 1.5x at 4 shards",
                    speedup >= 1.5, fmt(speedup, 2) + "x on " +
@@ -188,23 +174,17 @@ int main(int argc, char** argv) {
                 << fmt(speedup, 2) << "x)\n";
     }
   }
-  check.print(std::cout);
 
-  if (!reduced) {
-    obs::BenchRecord rec("ablate_parallel");
-    rec.param("rows", static_cast<std::uint64_t>(rows.size()));
-    rec.param("seed", static_cast<std::uint64_t>(rows[0].params.seed));
-    rec.param("hw_threads", static_cast<std::uint64_t>(hw_threads));
-    rec.param("fingerprint_u16_1000", rows[0].report.fingerprint.hex());
-    for (const Row& row : rows) {
-      rec.metric(row.tag + "_wall_s", row.wall);
-      rec.metric(row.tag + "_events", row.report.events);
-      rec.metric(row.tag + "_epochs", row.report.epochs);
-      rec.metric(row.tag + "_cross_shard_msgs",
-                 row.report.cross_shard_messages);
-      rec.param(row.tag + "_fingerprint", row.report.fingerprint.hex());
-    }
-    analysis::write_bench_record(rec, check, bench_timer.seconds());
+  rec.param("rows", static_cast<std::uint64_t>(rows.size()));
+  rec.param("hw_threads", static_cast<std::uint64_t>(hw_threads));
+  rec.param("fingerprint_u16_1000", rows[0].report.fingerprint.hex());
+  for (const Row& row : rows) {
+    rec.metric(row.tag + "_wall_s", row.wall);
+    rec.metric(row.tag + "_events", row.report.events);
+    rec.metric(row.tag + "_epochs", row.report.epochs);
+    rec.metric(row.tag + "_cross_shard_msgs",
+               row.report.cross_shard_messages);
+    rec.param(row.tag + "_fingerprint", row.report.fingerprint.hex());
   }
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

@@ -14,7 +14,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/scenario.hpp"
 #include "support/table.hpp"
 
@@ -78,14 +78,14 @@ Outcome run(bool challenge, bool ban_wrong_fork, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_partition(std::uint64_t seed, bool,
+                                      obs::BenchRecord&) {
   std::cout << "== Ablation A5: the DAO fork-header challenge ==\n";
   std::cout << "(9 full nodes through the fork, challenge on vs off)\n\n";
 
-  const Outcome geth = run(true, true, 7);       // challenge + block ban
-  const Outcome ban_only = run(false, true, 7);  // organic severing only
-  const Outcome none = run(false, false, 7);     // no severing mechanism
+  const Outcome geth = run(true, true, seed);       // challenge + block ban
+  const Outcome ban_only = run(false, true, seed);  // organic severing only
+  const Outcome none = run(false, false, seed);     // no severing mechanism
 
   Table table({"configuration", "min to full partition", "cross link-seconds",
                "wrong-fork drops", "total messages"});
@@ -124,9 +124,5 @@ int main() {
       none.link_seconds > 10.0 * std::max(1.0, geth.link_seconds),
       "none: " + fmt(none.link_seconds, 0) + " vs geth: " +
           fmt(geth.link_seconds, 0) + " link-s");
-  check.print(std::cout);
-
-  obs::BenchRecord rec("ablate_partition");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

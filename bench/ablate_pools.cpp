@@ -6,7 +6,7 @@
 // mining solo vs in a pool under proportional, PPS, and PPLNS payouts.
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/miner.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -66,12 +66,11 @@ std::vector<double> pooled_income(PayoutScheme scheme, Rng& rng) {
 
 }  // namespace
 
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_pools(std::uint64_t seed, bool, obs::BenchRecord&) {
   std::cout << "== Ablation A4: payout scheme vs small-miner variance ==\n";
   std::cout << "(small miner = 1% of pool hashpower, 8000 ten-minute epochs)\n\n";
 
-  Rng rng(4242);
+  Rng rng(seed);
   const auto solo = solo_income(rng);
   const auto prop = pooled_income(PayoutScheme::kProportional, rng);
   const auto pps = pooled_income(PayoutScheme::kPps, rng);
@@ -121,9 +120,5 @@ int main() {
   check.expect("PPS has the lowest variance (pool absorbs luck)",
                stddev(pps) <= stddev(prop) && stddev(pps) <= stddev(pplns),
                "pps " + fmt(stddev(pps), 4));
-  check.print(std::cout);
-
-  obs::BenchRecord rec("ablate_pools");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

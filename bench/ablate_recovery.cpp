@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/chaos.hpp"
 #include "support/table.hpp"
 
@@ -23,35 +23,6 @@ using namespace forksim;
 using namespace forksim::sim;
 
 namespace {
-
-ChaosParams base_params() {
-  ChaosParams cp;
-  cp.scenario.nodes_eth = 10;
-  cp.scenario.nodes_etc = 5;
-  cp.scenario.miners_per_side_eth = 3;
-  cp.scenario.miners_per_side_etc = 2;
-  cp.scenario.total_hashrate = 3e4;
-  cp.scenario.etc_hashpower_fraction = 0.25;
-  cp.scenario.fork_block = 10;
-  cp.scenario.seed = 8;
-  // network faults, partition cut, and adversaries off: this ablation
-  // isolates the durability layer (A6 covers loss/cut, A7 covers hostile
-  // peers; the chaos soak example combines all three)
-  cp.extra_loss = 0.0;
-  cp.duplicate_prob = 0.0;
-  cp.reorder_prob = 0.0;
-  cp.cut_start = -1.0;
-  cp.adversaries.fraction = 0.0;
-  // churn is the crash generator: without it nobody restarts at all
-  cp.churn_fraction = 0.4;
-  cp.churn_start = 120.0;
-  cp.churn_end = 900.0;
-  cp.mean_downtime = 90.0;
-  cp.restart_prob = 1.0;
-  cp.mining_duration = 1500.0;
-  cp.settle_deadline = 1200.0;
-  return cp;
-}
 
 db::StorageFaults faults(double rate) {
   db::StorageFaults f;
@@ -63,8 +34,8 @@ db::StorageFaults faults(double rate) {
 
 }  // namespace
 
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_recovery(std::uint64_t seed, bool,
+                                     obs::BenchRecord& rec) {
   std::cout << "== Ablation A8: cold-restart recovery under storage faults ==\n";
   std::cout << "(15 full nodes through the fork, 40% churned; restart mode "
                "swept warm -> cold, disk fault rate 0 -> 90%)\n\n";
@@ -84,9 +55,19 @@ int main() {
       {"cold, 50% faults", 1.0, 0.5},
       {"cold, 90% faults", 1.0, 0.9},
   };
+  // network faults, partition cut, and adversaries off: this ablation
+  // isolates the durability layer (A6 covers loss/cut, A7 covers hostile
+  // peers; the chaos soak example combines all three)
+  ChaosParams base = quiet_chaos(seed);
+  // churn is the crash generator: without it nobody restarts at all
+  base.churn_fraction = 0.4;
+  base.churn_start = 120.0;
+  base.churn_end = 900.0;
+  base.mean_downtime = 90.0;
+  base.restart_prob = 1.0;
   std::vector<Row> rows;
   for (const Config& c : configs) {
-    ChaosParams cp = base_params();
+    ChaosParams cp = base;
     cp.cold_restart_prob = c.cold_prob;
     cp.storage_faults = faults(c.fault_rate);
     ChaosRunner runner(cp);
@@ -163,9 +144,7 @@ int main() {
   check.expect("replay charges nonzero modeled recovery time",
                clean.recovery_seconds > 0.0 && f90.recovery_seconds > 0.0,
                fmt(f90.recovery_seconds, 1) + " s at 90% faults");
-  check.print(std::cout);
 
-  obs::BenchRecord rec("ablate_recovery");
   const std::vector<std::string> tags = {"warm", "clean", "f50", "f90"};
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ChaosReport& o = rows[i].report;
@@ -179,6 +158,5 @@ int main() {
     rec.metric(tag + "_recovery_seconds", o.recovery_seconds);
     rec.param(tag + "_converged", o.converged);
   }
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

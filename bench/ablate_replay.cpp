@@ -10,7 +10,7 @@
 //   splitting   — no chain ids, but aggressive address-splitting hygiene
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/replay.hpp"
 #include "sim/workload.hpp"
 #include "support/table.hpp"
@@ -43,8 +43,8 @@ Exposure run(ReplayParams params, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_replay(std::uint64_t seed, bool,
+                                   obs::BenchRecord&) {
   std::cout << "== Ablation A2: replay protection mechanisms ==\n\n";
 
   ReplayParams none;
@@ -64,10 +64,10 @@ int main() {
   splitting.etc_eip155_day = -1;
   splitting.split_per_day = 0.012;  // owners split addresses aggressively
 
-  const Exposure e_none = run(none, 7);
-  const Exposure e_hist = run(historical, 7);
-  const Exposure e_day0 = run(day0, 7);
-  const Exposure e_split = run(splitting, 7);
+  const Exposure e_none = run(none, seed);
+  const Exposure e_hist = run(historical, seed);
+  const Exposure e_day0 = run(day0, seed);
+  const Exposure e_split = run(splitting, seed);
 
   Table table({"protection", "total echoes (270d)", "echoes/day (final month)"});
   table.add_row({"none", std::to_string(e_none.total_echoes),
@@ -99,9 +99,5 @@ int main() {
                "(EIP-155 was opt-in)",
                e_hist.late_per_day > 0,
                std::to_string(e_hist.late_per_day) + "/day in final month");
-  check.print(std::cout);
-
-  obs::BenchRecord rec("ablate_replay");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

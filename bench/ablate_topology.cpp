@@ -10,16 +10,15 @@
 // block arena, and the 4-ary scheduler earn their keep. Every row is one
 // deterministic run; the first row re-runs as the bit-identity witness.
 //
-//   ./build/bench/ablate_topology [--reduced]
+//   ./build/bench/forksim_bench ablate_topology [--reduced]
 //
 // --reduced runs a single 128-node row (the sanitizer CI slice) and skips
 // the bench record.
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/scalesim.hpp"
 #include "support/table.hpp"
 
@@ -35,30 +34,20 @@ struct Row {
   double wall = 0.0;
 };
 
-ScaleParams base_params(std::size_t nodes) {
-  ScaleParams p;
-  p.nodes = nodes;
-  p.miners = 24;
-  p.block_interval = 13.0;
-  p.duration = 3600.0;
-  p.uniform_base = 0.05;  // flat 50 ms hops: topology is the only variable
-  p.seed = 1916;
-  return p;
-}
-
-Row make_uniform(std::size_t nodes, std::size_t k) {
+// Both meshes run on flat 50 ms hops: topology is the only variable.
+Row make_uniform(std::size_t nodes, std::size_t k, std::uint64_t seed) {
   Row row;
   row.tag = "u" + std::to_string(k) + "_" + std::to_string(nodes);
-  row.params = base_params(nodes);
+  row.params = bench::flat_scale(nodes, seed);
   row.params.topology.distribution = p2p::DegreeDistribution::kUniform;
   row.params.topology.degree = k;
   return row;
 }
 
-Row make_power_law(std::size_t nodes, std::size_t k_min) {
+Row make_power_law(std::size_t nodes, std::size_t k_min, std::uint64_t seed) {
   Row row;
   row.tag = "pl" + std::to_string(k_min) + "_" + std::to_string(nodes);
-  row.params = base_params(nodes);
+  row.params = bench::flat_scale(nodes, seed);
   row.params.topology.distribution = p2p::DegreeDistribution::kPowerLaw;
   row.params.topology.degree = k_min;
   row.params.topology.max_degree = 64;
@@ -68,23 +57,19 @@ Row make_power_law(std::size_t nodes, std::size_t k_min) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool reduced = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--reduced") == 0) reduced = true;
-
-  obs::WallTimer bench_timer;
+bench::Report bench::ablate_topology(std::uint64_t seed, bool reduced,
+                                     obs::BenchRecord& rec) {
   std::vector<Row> rows;
   if (reduced) {
-    rows.push_back(make_uniform(128, 8));
+    rows.push_back(make_uniform(128, 8, seed));
     rows.back().params.duration = 900.0;
   } else {
-    rows.push_back(make_uniform(1000, 8));
-    rows.push_back(make_uniform(1000, 16));
-    rows.push_back(make_uniform(1000, 32));
-    rows.push_back(make_power_law(1000, 8));
-    rows.push_back(make_uniform(2000, 16));
-    rows.push_back(make_uniform(5000, 16));  // the acceptance scenario
+    rows.push_back(make_uniform(1000, 8, seed));
+    rows.push_back(make_uniform(1000, 16, seed));
+    rows.push_back(make_uniform(1000, 32, seed));
+    rows.push_back(make_power_law(1000, 8, seed));
+    rows.push_back(make_uniform(2000, 16, seed));
+    rows.push_back(make_uniform(5000, 16, seed));  // the acceptance scenario
   }
 
   std::cout << "== Ablation A10: gossip topology at internet scale ==\n"
@@ -170,24 +155,18 @@ int main(int argc, char** argv) {
                  std::to_string(big.report.events) + " events, " +
                      std::to_string(big.report.blocks_mined) + " blocks");
   }
-  check.print(std::cout);
 
-  if (!reduced) {
-    obs::BenchRecord rec("ablate_topology");
-    rec.param("rows", static_cast<std::uint64_t>(rows.size()));
-    rec.param("seed", static_cast<std::uint64_t>(rows[0].params.seed));
-    rec.param("miners", static_cast<std::uint64_t>(rows[0].params.miners));
-    rec.param("fingerprint_u8_1000", rows[0].report.fingerprint.hex());
-    for (const Row& row : rows) {
-      rec.metric(row.tag + "_prop_p50", row.report.prop_p50);
-      rec.metric(row.tag + "_prop_p90", row.report.prop_p90);
-      rec.metric(row.tag + "_prop_p99", row.report.prop_p99);
-      rec.metric(row.tag + "_stale_rate", row.report.stale_rate);
-      rec.metric(row.tag + "_fairness_max_dev", row.report.fairness_max_dev);
-      rec.metric(row.tag + "_events", row.report.events);
-      rec.param(row.tag + "_converged", row.report.converged);
-    }
-    analysis::write_bench_record(rec, check, bench_timer.seconds());
+  rec.param("rows", static_cast<std::uint64_t>(rows.size()));
+  rec.param("miners", static_cast<std::uint64_t>(rows[0].params.miners));
+  rec.param("fingerprint_u8_1000", rows[0].report.fingerprint.hex());
+  for (const Row& row : rows) {
+    rec.metric(row.tag + "_prop_p50", row.report.prop_p50);
+    rec.metric(row.tag + "_prop_p90", row.report.prop_p90);
+    rec.metric(row.tag + "_prop_p99", row.report.prop_p99);
+    rec.metric(row.tag + "_stale_rate", row.report.stale_rate);
+    rec.metric(row.tag + "_fairness_max_dev", row.report.fairness_max_dev);
+    rec.metric(row.tag + "_events", row.report.events);
+    rec.param(row.tag + "_converged", row.report.converged);
   }
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check)};
 }

@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/fastsim.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -56,12 +56,12 @@ double etc_share(double day) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  obs::WallTimer bench_timer;
+bench::Report bench::fig1_short_term(std::uint64_t seed, bool,
+                                     obs::BenchRecord&) {
   std::cout << "== Figure 1: short-term fork dynamics (30 days) ==\n";
   std::cout << "Simulating the month after the DAO fork block...\n";
 
-  Rng rng(2016'07'20);
+  Rng rng(seed);
 
   // pre-fork equilibrium: total hashpower H, difficulty ~ H * 14 s. The
   // paper's pre-fork difficulty is ~6e13; we use H = 4.45e12 H/s.
@@ -109,8 +109,6 @@ int main(int argc, char** argv) {
                    fmt(eth_delta[h], 1),
                    h < etc_delta.size() ? fmt(etc_delta[h], 1) : "-"});
   }
-  table.print(std::cout);
-  analysis::maybe_write_csv(argc, argv, "fig1", table);
 
   // ---- PAPER-CHECK ------------------------------------------------------
   analysis::PaperCheck check("Fig 1 — short-term fork dynamics");
@@ -147,15 +145,7 @@ int main(int argc, char** argv) {
 
   // (3) the two-week return wave: ETH difficulty decreases while ETC's
   // increases between day 12 and day 28
-  auto avg_window = [](const std::vector<double>& xs, std::size_t lo_h,
-                       std::size_t hi_h) {
-    if (xs.empty()) return 0.0;
-    lo_h = std::min(lo_h, xs.size() - 1);
-    hi_h = std::min(hi_h, xs.size());
-    return mean(std::vector<double>(
-        xs.begin() + static_cast<std::ptrdiff_t>(lo_h),
-        xs.begin() + static_cast<std::ptrdiff_t>(hi_h)));
-  };
+  const auto avg_window = analysis::window_mean;
   const double eth_diff_before = avg_window(eth_diff, 10 * 24, 12 * 24);
   const double eth_diff_after = avg_window(eth_diff, 27 * 24, 29 * 24);
   const double etc_diff_before = avg_window(etc_diff, 10 * 24, 12 * 24);
@@ -169,9 +159,5 @@ int main(int argc, char** argv) {
                "day 10-12 avg " + fmt_sci(etc_diff_before) + " -> day 27-29 avg " +
                    fmt_sci(etc_diff_after));
 
-  check.print(std::cout);
-
-  obs::BenchRecord rec("fig1_short_term");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check), std::move(table)};
 }

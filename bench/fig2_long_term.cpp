@@ -11,7 +11,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/fastsim.hpp"
 #include "sim/workload.hpp"
 #include "support/stats.hpp"
@@ -20,11 +20,12 @@
 using namespace forksim;
 using namespace forksim::sim;
 
-int main(int argc, char** argv) {
-  obs::WallTimer bench_timer;
+bench::Report bench::fig2_long_term(std::uint64_t seed, bool,
+                                    obs::BenchRecord& rec) {
+  const obs::WallTimer timer;
   std::cout << "== Figure 2: long-term fork dynamics (270 days) ==\n";
 
-  Rng rng(20160720);
+  Rng rng(seed);
   const double total_hashrate = 4.45e12;
   const U256 fork_difficulty(62'000'000'000'000ull);
 
@@ -87,8 +88,6 @@ int main(int argc, char** argv) {
                    fmt(eth_txs[d], 0), fmt(etc_txs[d], 0),
                    fmt(eth_contract[d], 1), fmt(etc_contract[d], 1)});
   }
-  table.print(std::cout);
-  analysis::maybe_write_csv(argc, argv, "fig2", table);
 
   analysis::PaperCheck check("Fig 2 — long-term dynamics");
 
@@ -133,15 +132,10 @@ int main(int argc, char** argv) {
       "contract-call fractions similar across chains (first ~200 days, pp)",
       max_gap, 12.0);
 
-  check.print(std::cout);
-
-  obs::BenchRecord rec("fig2_long_term");
   rec.param("days", std::uint64_t{270});
-  rec.param("seed", std::uint64_t{20160720});
   rec.metric("blocks_mined", blocks_mined);
-  const double wall = bench_timer.seconds();
+  const double wall = timer.seconds();
   rec.metric("blocks_per_second",
              wall > 0 ? static_cast<double>(blocks_mined) / wall : 0.0);
-  analysis::write_bench_record(rec, check, wall);
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check), std::move(table)};
 }

@@ -14,7 +14,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/fastsim.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -22,11 +22,11 @@
 using namespace forksim;
 using namespace forksim::sim;
 
-int main(int argc, char** argv) {
-  obs::WallTimer bench_timer;
+bench::Report bench::fig3_efficiency(std::uint64_t seed, bool,
+                                     obs::BenchRecord&) {
   std::cout << "== Figure 3: mining-market efficiency (270 days) ==\n";
 
-  Rng rng(3);
+  Rng rng(seed);
   const double total_hashrate = 4.45e12;
   const U256 fork_difficulty(62'000'000'000'000ull);
 
@@ -93,8 +93,6 @@ int main(int argc, char** argv) {
                      fmt_sci(eth_metric), fmt_sci(etc_metric)});
     }
   }
-  table.print(std::cout);
-  analysis::maybe_write_csv(argc, argv, "fig3", table);
 
   analysis::PaperCheck check("Fig 3 — market efficiency");
 
@@ -117,12 +115,7 @@ int main(int argc, char** argv) {
                   percentile(rel_gap, 90), 0.55);
 
   // the Zcash dip: hashes/USD lower during the sink window than just before
-  auto avg = [](const std::vector<double>& xs, std::size_t lo, std::size_t hi) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (std::size_t i = lo; i < hi && i < xs.size(); ++i, ++n) sum += xs[i];
-    return n ? sum / static_cast<double>(n) : 0.0;
-  };
+  const auto avg = analysis::window_mean;
   const double before_zcash = avg(eth_hpu, 85, 99);
   const double during_zcash = avg(eth_hpu, 104, 114);
   check.expect("hashes/USD dips around the Zcash launch (miners left)",
@@ -136,9 +129,5 @@ int main(int argc, char** argv) {
   check.expect_le("hashes/USD falls through the March price rally",
                   after_rally, before_rally * 0.8);
 
-  check.print(std::cout);
-
-  obs::BenchRecord rec("fig3_efficiency");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check), std::move(table)};
 }

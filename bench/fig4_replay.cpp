@@ -11,7 +11,7 @@
 // sim/replay.hpp). Echo counts are measured, not assumed.
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/replay.hpp"
 #include "sim/workload.hpp"
 #include "support/stats.hpp"
@@ -20,11 +20,10 @@
 using namespace forksim;
 using namespace forksim::sim;
 
-int main(int argc, char** argv) {
-  obs::WallTimer bench_timer;
+bench::Report bench::fig4_replay(std::uint64_t seed, bool, obs::BenchRecord&) {
   std::cout << "== Figure 4: rebroadcast (echo) transactions (270 days) ==\n";
 
-  Rng rng(4);
+  Rng rng(seed);
   WorkloadModel workload(WorkloadParams{}, rng.fork());
   ReplaySim replay(ReplayParams{}, rng.fork());
 
@@ -65,17 +64,10 @@ int main(int argc, char** argv) {
                      fmt(static_cast<double>(stats.protected_txs), 0)});
     }
   }
-  table.print(std::cout);
-  analysis::maybe_write_csv(argc, argv, "fig4", table);
 
   analysis::PaperCheck check("Fig 4 — rebroadcast transactions");
 
-  auto avg = [](const std::vector<double>& xs, std::size_t lo, std::size_t hi) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (std::size_t i = lo; i < hi && i < xs.size(); ++i, ++n) sum += xs[i];
-    return n ? sum / static_cast<double>(n) : 0.0;
-  };
+  const auto avg = analysis::window_mean;
 
   // (5) "a high level of rebroadcasting initially after the fork": tens of
   // percent of ETC's transactions in the first days
@@ -106,9 +98,5 @@ int main(int argc, char** argv) {
                   avg(echoes_per_day, 185, 215),
                   avg(echoes_per_day, 140, 170) * 0.8);
 
-  check.print(std::cout);
-
-  obs::BenchRecord rec("fig4_replay");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check), std::move(table)};
 }

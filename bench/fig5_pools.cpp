@@ -11,7 +11,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "analysis/figures.hpp"
+#include "experiment.hpp"
 #include "sim/poolmodel.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -30,11 +30,10 @@ double top_share_of_wins(const std::vector<std::uint64_t>& wins,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  obs::WallTimer bench_timer;
+bench::Report bench::fig5_pools(std::uint64_t seed, bool, obs::BenchRecord&) {
   std::cout << "== Figure 5: mining-pool concentration (240 days) ==\n";
 
-  Rng rng(5);
+  Rng rng(seed);
 
   PoolDynamicsParams eth_params;
   eth_params.churn = 0.02;
@@ -106,17 +105,10 @@ int main(int argc, char** argv) {
                      fmt(static_cast<double>(etc_pools.pool_count()), 0)});
     }
   }
-  table.print(std::cout);
-  analysis::maybe_write_csv(argc, argv, "fig5", table);
 
   analysis::PaperCheck check("Fig 5 — pool concentration");
 
-  auto avg = [](const std::vector<double>& xs, std::size_t lo, std::size_t hi) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (std::size_t i = lo; i < hi && i < xs.size(); ++i, ++n) sum += xs[i];
-    return n ? sum / static_cast<double>(n) : 0.0;
-  };
+  const auto avg = analysis::window_mean;
 
   // (6a) ETH's shares stay consistent over time and match the pre-fork
   // distribution (the big pools moved over immediately and pervasively)
@@ -147,9 +139,5 @@ int main(int argc, char** argv) {
                    fmt(avg(eth_top5, 20, 40) - avg(etc_top5, 20, 40), 1) +
                    " pp");
 
-  check.print(std::cout);
-
-  obs::BenchRecord rec("fig5_pools");
-  analysis::write_bench_record(rec, check, bench_timer.seconds());
-  return check.all_passed() ? 0 : 1;
+  return {std::move(check), std::move(table)};
 }

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
-#include <string_view>
 
 namespace forksim::analysis {
 
@@ -70,24 +69,28 @@ std::vector<double> smooth(const std::vector<double>& xs, std::size_t w) {
   return out;
 }
 
-bool maybe_write_csv(int argc, char** argv, const std::string& name,
-                     const Table& table) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) != "--csv") continue;
-    const std::string path = std::string(argv[i + 1]) + "/" + name + ".csv";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return false;
-    }
-    out << table.to_csv();
-    std::cout << "wrote " << path << "\n";
-    return true;
-  }
-  return false;
+double window_mean(const std::vector<double>& xs, std::size_t lo,
+                   std::size_t hi) {
+  double sum = 0;
+  std::size_t n = 0;
+  for (std::size_t i = lo; i < hi && i < xs.size(); ++i, ++n) sum += xs[i];
+  return n ? sum / static_cast<double>(n) : 0.0;
 }
 
-void write_bench_record(obs::BenchRecord& rec, const PaperCheck& check,
+bool write_csv(const std::string& dir, const std::string& name,
+               const Table& table) {
+  const std::string path = dir + "/" + name + ".csv";
+  std::ofstream out(path);
+  out << table.to_csv();
+  if (!out.flush()) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  std::cout << "wrote " << path << "\n";
+  return true;
+}
+
+bool write_bench_record(obs::BenchRecord& rec, const PaperCheck& check,
                         double wall_seconds) {
   rec.metric("wall_seconds", wall_seconds);
   rec.metric("checks_total", static_cast<std::uint64_t>(check.checks()));
@@ -95,10 +98,12 @@ void write_bench_record(obs::BenchRecord& rec, const PaperCheck& check,
              static_cast<std::uint64_t>(check.checks() - check.failures()));
   rec.param("all_passed", check.all_passed());
   const std::string path = rec.write();
-  if (path.empty())
+  if (path.empty()) {
     std::cerr << "cannot write BENCH_" << rec.name() << ".json\n";
-  else
-    std::cout << "wrote " << path << "\n";
+    return false;
+  }
+  std::cout << "wrote " << path << "\n";
+  return true;
 }
 
 std::ptrdiff_t first_stable_index(const std::vector<double>& xs,

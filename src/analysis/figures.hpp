@@ -1,6 +1,6 @@
 // Figure emission and qualitative paper checks.
 //
-// Each bench binary prints (a) the series the corresponding paper figure
+// Each bench experiment prints (a) the series the corresponding paper figure
 // plots, in table + CSV form, and (b) a PAPER-CHECK section asserting the
 // *shape* claims the paper makes (who wins, by what factor, where the
 // crossovers are). The checks encode DESIGN.md §6.
@@ -52,22 +52,27 @@ std::vector<std::pair<std::size_t, double>> sample_series(
 /// Moving average with window `w` (centered, clipped at edges).
 std::vector<double> smooth(const std::vector<double>& xs, std::size_t w);
 
+/// Mean of xs[lo, hi), clipped to the series; 0 for an empty window.
+double window_mean(const std::vector<double>& xs, std::size_t lo,
+                   std::size_t hi);
+
 /// First index where `xs` stays within +/- `tolerance` of `target` for at
 /// least `run` consecutive samples; -1 if never.
 std::ptrdiff_t first_stable_index(const std::vector<double>& xs,
                                   double target, double tolerance,
                                   std::size_t run);
 
-/// Bench CSV emission: if argv contains "--csv <dir>", write `table` to
-/// <dir>/<name>.csv and return true. Each figure bench calls this so the
-/// printed series are also available machine-readable.
-bool maybe_write_csv(int argc, char** argv, const std::string& name,
-                     const Table& table);
+/// Bench CSV emission: writes `table` to <dir>/<name>.csv so the printed
+/// series are also available machine-readable. Returns false (after
+/// saying so on stderr) if the file cannot be written.
+bool write_csv(const std::string& dir, const std::string& name,
+               const Table& table);
 
 /// BENCH_<name>.json emission: folds the wall time and the paper-check
 /// tally into `rec` (callers add bench-specific metrics/params first) and
-/// writes it to $FORKSIM_BENCH_DIR or the working directory.
-void write_bench_record(obs::BenchRecord& rec, const PaperCheck& check,
+/// writes it to $FORKSIM_BENCH_DIR or the working directory. Returns false
+/// (after saying so on stderr) if the record cannot be written.
+bool write_bench_record(obs::BenchRecord& rec, const PaperCheck& check,
                         double wall_seconds);
 
 }  // namespace forksim::analysis

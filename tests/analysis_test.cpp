@@ -191,6 +191,14 @@ TEST(FiguresTest, SampleSeries) {
   EXPECT_TRUE(sample_series({}, 5).empty());
 }
 
+TEST(FiguresTest, WindowMeanClipsToTheSeries) {
+  const std::vector<double> xs = {1, 2, 3, 4};
+  EXPECT_DOUBLE_EQ(window_mean(xs, 1, 3), 2.5);
+  EXPECT_DOUBLE_EQ(window_mean(xs, 2, 100), 3.5);  // hi past the end
+  EXPECT_EQ(window_mean(xs, 4, 10), 0.0);           // empty window
+  EXPECT_EQ(window_mean({}, 0, 5), 0.0);
+}
+
 TEST(FiguresTest, Smooth) {
   const std::vector<double> xs = {0, 10, 0, 10, 0};
   const auto smoothed = smooth(xs, 3);
