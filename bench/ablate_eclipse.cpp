@@ -125,7 +125,7 @@ bench::Report bench::ablate_eclipse(std::uint64_t seed, bool reduced,
                    0) +
                    " s isolated, network never converges");
   check.expect("same seed + budget with defenses ON converges",
-               on32->report.converged && on32->report.converged,
+               on32->report.converged,
                fmt(on32->report.time_to_convergence, 0) + " s settle");
   check.expect("defended victim is not eclipsed at the end",
                on32->report.victims_eclipsed_at_end == 0,

@@ -23,16 +23,6 @@ Hash256 empty_code_hash() {
 
 State::State(const State& other) : accounts_(other.accounts_) {}
 
-State& State::operator=(const State& other) {
-  if (this == &other) return *this;
-  accounts_ = other.accounts_;
-  journal_.clear();
-  root_trie_ = trie::Trie();
-  root_cache_valid_ = false;
-  dirty_.clear();
-  return *this;
-}
-
 const Account* State::account(const Address& addr) const {
   auto it = accounts_.find(addr);
   return it == accounts_.end() ? nullptr : &it->second;

@@ -71,9 +71,10 @@ class State {
   State() = default;
   /// Copies the account map only. The undo journal and the cached root trie
   /// do not transfer: marks taken on the source cannot revert the copy, and
-  /// the copy's first root() falls back to a full rebuild.
+  /// the copy's first root() falls back to a full rebuild. Nothing assigns
+  /// one State over another by copy, so copy assignment is not offered.
   State(const State& other);
-  State& operator=(const State& other);
+  State& operator=(const State& other) = delete;
   State(State&&) noexcept = default;
   State& operator=(State&&) noexcept = default;
 

@@ -15,22 +15,23 @@ bool TokenBucket::take(SimTime now, double cost) {
   return true;
 }
 
-void PeerSession::mark_known(const Hash256& h, std::size_t cap) {
-  if (!known.insert(h).second) return;
-  known_order.push_back(h);
-  while (known_order.size() > cap) {
-    known.erase(known_order.front());
-    known_order.pop_front();
+bool BoundedHashSet::insert(const Hash256& h) {
+  if (!set_.insert(h).second) return false;
+  order_.push_back(h);
+  if (order_.size() > kCapacity) {
+    set_.erase(order_.front());
+    order_.pop_front();
   }
+  return true;
 }
 
 std::size_t PeerSession::note_child(const Hash256& parent,
-                                    const Hash256& child, std::size_t cap) {
+                                    const Hash256& child) {
   auto it = children_seen.find(parent);
   if (it == children_seen.end()) {
     children_seen.emplace(parent, std::vector<Hash256>{child});
     children_order.push_back(parent);
-    while (children_order.size() > cap) {
+    if (children_order.size() > 256) {
       children_seen.erase(children_order.front());
       children_order.pop_front();
     }

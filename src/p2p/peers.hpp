@@ -45,6 +45,22 @@ struct TokenBucket {
   bool take(SimTime now, double cost = 1.0);
 };
 
+/// At most kCapacity hashes, forgetting the oldest insertion first (FIFO:
+/// re-inserting does not refresh), so a hash flood cannot grow it.
+class BoundedHashSet {
+ public:
+  static constexpr std::size_t kCapacity = 4096;
+
+  /// Returns false (and changes nothing) if `h` is already present.
+  bool insert(const Hash256& h);
+  bool contains(const Hash256& h) const { return set_.contains(h); }
+  void clear() { set_.clear(); order_.clear(); }
+
+ private:
+  std::unordered_set<Hash256, Hash256Hasher> set_;
+  std::deque<Hash256> order_;
+};
+
 struct PeerSession {
   PeerState state = PeerState::kHandshaking;
   Status remote;  // valid once past handshaking
@@ -62,11 +78,10 @@ struct PeerSession {
   /// message clears it).
   bool ping_outstanding = false;
 
-  /// Bounded LRU-ish inventory of hashes this peer is known to have.
-  std::unordered_set<Hash256, Hash256Hasher> known;
-  std::deque<Hash256> known_order;
+  /// Bounded inventory of hashes this peer is known to have.
+  BoundedHashSet known;
 
-  void mark_known(const Hash256& h, std::size_t cap = 4096);
+  void mark_known(const Hash256& h) { known.insert(h); }
   bool knows(const Hash256& h) const { return known.contains(h); }
 
   /// Ingress rate limits (disabled unless the owning node opts into
@@ -77,15 +92,14 @@ struct PeerSession {
   /// Distinct children of each parent this session has announced — the
   /// equivocation detector. Honest peers relay at most the children that
   /// became head; a peer pushing many siblings of one parent is splitting
-  /// the network on purpose. Bounded to the most recent `cap` parents.
+  /// the network on purpose. Bounded to the most recent 256 parents.
   std::unordered_map<Hash256, std::vector<Hash256>, Hash256Hasher>
       children_seen;
   std::deque<Hash256> children_order;
 
   /// Record that this session announced `child` under `parent`; returns how
   /// many distinct children of `parent` it has now announced.
-  std::size_t note_child(const Hash256& parent, const Hash256& child,
-                         std::size_t cap = 256);
+  std::size_t note_child(const Hash256& parent, const Hash256& child);
 };
 
 /// Knobs for peer scoring, banning, and liveness probing.

@@ -62,7 +62,7 @@ FullNode::FullNode(Network& network, NodeId id, core::ChainConfig config,
              effective_peer_policy(options)) {
   discovery_.set_on_discovered([this](const NodeId& candidate) {
     if (running_ && peers_.active_count() < options_.target_peers) {
-      if (options_.eclipse.enabled && dial_over_group_cap(candidate)) return;
+      if (dial_over_group_cap(candidate)) return;
       peers_.connect(candidate);
     }
   });
@@ -132,11 +132,44 @@ void FullNode::attach_telemetry(obs::Registry& reg, obs::EventTracer* tracer,
   peers_.attach_telemetry(reg);
 }
 
-core::ImportOutcome FullNode::import_block(const core::Block& block) {
-  const auto outcome = chain_.import(block);
-  if (outcome.result == core::ImportResult::kImported && store_ != nullptr &&
-      !replaying_)
-    store_->append(block);
+void FullNode::trace(std::string_view cat, std::string_view name,
+                     std::initializer_list<obs::EventTracer::Arg> args) {
+  if (tracer_ != nullptr) tracer_->instant(cat, name, lane_, args);
+}
+
+core::ImportOutcome FullNode::import_block(const core::Block& block,
+                                           const Hash256& hash,
+                                           bool mined_here) {
+  core::ImportOutcome outcome = chain_.import(block);
+  switch (outcome.result) {
+    case core::ImportResult::kImported:
+      ++counters_.blocks_imported;
+      if (store_ != nullptr) store_->append(block);
+      break;
+    case core::ImportResult::kAlreadyKnown:
+      break;
+    case core::ImportResult::kUnknownParent:
+      // a descendant of a block our rules dispute: follow the branch
+      // header-only instead of chasing ancestors we would refuse to
+      // execute anyway
+      if (!disputed_hashes_.contains(block.header.parent_hash)) break;
+      outcome.result = core::ImportResult::kDisputed;
+      [[fallthrough]];
+    case core::ImportResult::kDisputed:
+      // validity disagreement with an honest peer: header-only following,
+      // never blame (this path must not feed the ban machinery); a block
+      // mined here is no evidence of a competing branch
+      if (!mined_here) note_disputed(block.header, hash);
+      break;
+    default:
+      // wrong fork or invalid: never re-fetched, and a hardened node
+      // absorbs re-sends from the cache; an invalid body ran full execution
+      // before a commitment (state root / receipts / gas) failed
+      rejected_.insert(hash);
+      if (outcome.result == core::ImportResult::kInvalidBody)
+        ++counters_.wasted_executions;
+      break;
+  }
   return outcome;
 }
 
@@ -152,8 +185,6 @@ RecoveryOutcome FullNode::cold_restart(
   orphans_.clear();
   orphan_order_.clear();
   disputed_hashes_.clear();
-  disputed_order_.clear();
-  disputed_headers_.clear();
   disputed_ = DisputedRange{};
   update_orphan_gauge();
 
@@ -161,7 +192,6 @@ RecoveryOutcome FullNode::cold_restart(
   if (store_ != nullptr) {
     // scan + repair the log, then replay the checksummed survivors
     const std::vector<core::Block> survivors = store_->recover(&out.store);
-    replaying_ = true;
     for (const core::Block& block : survivors) {
       const auto outcome = chain_.import(block);
       if (outcome.result == core::ImportResult::kImported) {
@@ -171,7 +201,6 @@ RecoveryOutcome FullNode::cold_restart(
         ++out.replay_rejected;  // should be impossible: checksummed input
       }
     }
-    replaying_ = false;
   }
   out.resume_delay = options_.recovery_seconds_per_block *
                      static_cast<double>(out.blocks_replayed);
@@ -186,9 +215,7 @@ RecoveryOutcome FullNode::cold_restart(
       tm_rec_seconds_ = &reg_->gauge("db.recovery.seconds");
     tm_rec_seconds_->add(out.resume_delay);
   }
-  if (tracer_ != nullptr)
-    tracer_->instant(
-        "node", "cold_restart", lane_,
+  trace("node", "cold_restart",
         {{"replayed", static_cast<std::int64_t>(out.blocks_replayed)},
          {"corrupt", static_cast<std::int64_t>(out.store.corrupt_records)}});
 
@@ -214,7 +241,7 @@ RecoveryOutcome FullNode::cold_restart(
 
 void FullNode::start(const std::vector<NodeId>& bootstrap) {
   running_ = true;
-  if (tracer_ != nullptr) tracer_->instant("node", "start", lane_);
+  trace("node", "start");
   bootstrap_ = bootstrap;
   // a restart after a crash begins with a clean slate: half-open sessions
   // and in-flight fetches from the previous life are meaningless
@@ -237,7 +264,7 @@ void FullNode::start(const std::vector<NodeId>& bootstrap) {
 void FullNode::shutdown() {
   if (!running_) return;
   running_ = false;
-  if (tracer_ != nullptr) tracer_->instant("node", "stop", lane_);
+  trace("node", "stop");
   ++generation_;
   network_.detach(id_);
 }
@@ -255,8 +282,7 @@ void FullNode::tick() {
     for (const NodeId& candidate :
          discovery_.table().closest(id_, options_.target_peers * 2)) {
       if (peers_.connected_to(candidate)) continue;
-      if (options_.eclipse.enabled && dial_over_group_cap(candidate))
-        continue;
+      if (dial_over_group_cap(candidate)) continue;
       if (peers_.connect(candidate)) ++counters_.dial_attempts;
       if (peers_.session_count() >= options_.max_peers) break;
     }
@@ -294,7 +320,9 @@ void FullNode::eclipse_tick() {
 }
 
 bool FullNode::dial_over_group_cap(const NodeId& candidate) const {
-  if (options_.eclipse.dial_group_cap == 0 || !region_fn_) return false;
+  if (!options_.eclipse.enabled || options_.eclipse.dial_group_cap == 0 ||
+      !region_fn_)
+    return false;
   const std::uint32_t group = region_fn_(candidate);
   std::size_t same = 0;
   for (const NodeId& id : peers_.session_ids())
@@ -325,18 +353,15 @@ void FullNode::check_isolation() {
   // the head moves again.
   eclipse_suspected_ = true;
   ++counters_.eclipse_suspicions;
-  if (tracer_ != nullptr)
-    tracer_->instant(
-        "eclipse", "suspicion", lane_,
+  trace("eclipse", "suspicion",
         {{"peers", static_cast<std::int64_t>(peers_.active_count())},
-         {"homogeneity_pct",
-          static_cast<std::int64_t>(homogeneity * 100.0)}});
+         {"homogeneity_pct", static_cast<std::int64_t>(homogeneity * 100.0)}});
   recover_from_eclipse();
 }
 
 void FullNode::recover_from_eclipse() {
   ++counters_.eclipse_recoveries;
-  if (tracer_ != nullptr) tracer_->instant("eclipse", "recovery", lane_);
+  trace("eclipse", "recovery");
   // Drop every session — disconnect, never ban: a suspicion is not proof
   // of guilt against any individual peer, and honest peers caught in the
   // set must be redialable immediately.
@@ -442,45 +467,39 @@ void FullNode::init_session_buckets(const NodeId& peer) {
   s->tx_bucket = TokenBucket{h.txs_per_sec, h.tx_burst, h.tx_burst, t};
 }
 
-bool FullNode::precheck_block(const core::Block& block) const {
-  const core::BlockHeader& h = block.header;
-  if (h.extra_data.size() > 32) return false;
-  if (block.ommers.size() > core::Blockchain::kMaxOmmers) return false;
-  if (block.transactions.size() > 1024) return false;
-  if (h.gas_used > h.gas_limit) return false;
-  if (h.difficulty.is_zero()) return false;
+bool FullNode::known_invalid(const Hash256& hash) {
+  if (!hardened() || !rejected_.contains(hash)) return false;
+  ++counters_.invalid_cache_hits;
   return true;
 }
 
-void FullNode::note_import_reject(const Hash256& hash,
-                                  core::ImportResult result) {
-  mark_rejected(hash);
-  if (result == core::ImportResult::kInvalidBody) {
-    // the body ran through full transaction execution before a commitment
-    // (state root / receipts / gas) failed — work the forger wasted
-    ++counters_.wasted_executions;
-  }
+bool FullNode::rate_limited(PeerSession* session,
+                            TokenBucket PeerSession::*bucket, double cost,
+                            const NodeId& from) {
+  if (session == nullptr ||
+      (session->*bucket).take(network_.loop().now(), cost))
+    return false;
+  ++counters_.rate_limited;
+  peers_.note_spam(from);
+  return true;
 }
 
-void FullNode::mark_rejected(const Hash256& hash) {
-  if (!rejected_.insert(hash).second) return;
-  rejected_order_.push_back(hash);
-  while (rejected_order_.size() > 4096) {
-    rejected_.erase(rejected_order_.front());
-    rejected_order_.pop_front();
-  }
+bool FullNode::fails_precheck(const core::Block& block, const Hash256& hash) {
+  if (!hardened()) return false;
+  const core::BlockHeader& h = block.header;
+  if (h.extra_data.size() <= 32 &&
+      block.ommers.size() <= core::Blockchain::kMaxOmmers &&
+      block.transactions.size() <= 1024 && h.gas_used <= h.gas_limit &&
+      !h.difficulty.is_zero())
+    return false;
+  ++counters_.precheck_rejections;
+  rejected_.insert(hash);
+  return true;
 }
 
 void FullNode::note_disputed(const core::BlockHeader& header,
                              const Hash256& hash) {
-  if (!disputed_hashes_.insert(hash).second) return;
-  disputed_order_.push_back(hash);
-  disputed_headers_.emplace(hash, header);
-  while (disputed_order_.size() > 4096) {
-    disputed_hashes_.erase(disputed_order_.front());
-    disputed_headers_.erase(disputed_order_.front());
-    disputed_order_.pop_front();
-  }
+  if (!disputed_hashes_.insert(hash)) return;
   ++counters_.disputed_blocks;
   if (disputed_.count == 0) {
     disputed_.min_number = header.number;
@@ -501,9 +520,7 @@ void FullNode::note_disputed(const core::BlockHeader& header,
       disputed_.count >= options_.divergence_threshold) {
     disputed_.divergence_raised = true;
     ++counters_.divergence_events;
-    if (tracer_ != nullptr)
-      tracer_->instant(
-          "fork_monitor", "divergence", lane_,
+    trace("fork_monitor", "divergence",
           {{"min", static_cast<std::int64_t>(disputed_.min_number)},
            {"max", static_cast<std::int64_t>(disputed_.max_number)}});
   }
@@ -511,17 +528,13 @@ void FullNode::note_disputed(const core::BlockHeader& header,
 
 void FullNode::apply_consensus_patch() {
   ++counters_.consensus_patches;
-  if (tracer_ != nullptr)
-    tracer_->instant(
-        "fork_monitor", "patch", lane_,
+  trace("fork_monitor", "patch",
         {{"disputed", static_cast<std::int64_t>(disputed_.count)}});
   const DisputedRange range = disputed_;
   // Forget the dispute entirely (unlike rejected_, which is permanent):
   // the formerly-disputed hashes must be fetchable again so full
   // revalidation — and the deep reorg back to the majority chain — can run.
   disputed_hashes_.clear();
-  disputed_order_.clear();
-  disputed_headers_.clear();
   disputed_ = DisputedRange{};
   if (range.count == 0 || !running_) return;
   const std::vector<NodeId> active = peers_.active_peers();
@@ -576,12 +589,12 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
     return;
   }
   ++counters_.sync_timeouts;
-  if (tracer_ != nullptr) tracer_->instant("sync", "timeout", lane_);
+  trace("sync", "timeout");
   PendingFetch& req = it->second;
   peers_.note_timeout(req.peer);
   if (req.attempt >= options_.sync_max_retries) {
     ++counters_.sync_gave_up;
-    if (tracer_ != nullptr) tracer_->instant("sync", "gave_up", lane_);
+    trace("sync", "gave_up");
     pending_fetch_.erase(it);
     return;
   }
@@ -603,7 +616,7 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
       if (peers_.session(req.origin) != nullptr)
         peers_.note_garbage(req.origin);
       ++counters_.sync_gave_up;
-      if (tracer_ != nullptr) tracer_->instant("sync", "gave_up", lane_);
+      trace("sync", "gave_up");
       pending_fetch_.erase(it);
       return;
     }
@@ -623,18 +636,12 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
   }
   ++req.attempt;
   ++counters_.sync_retries;
-  if (tracer_ != nullptr)
-    tracer_->instant("sync", "retry", lane_,
-                     {{"attempt", static_cast<std::int64_t>(req.attempt)}});
+  trace("sync", "retry", {{"attempt", static_cast<std::int64_t>(req.attempt)}});
   req.token = ++next_fetch_token_;
   send(req.peer, Message{GetBlocks{head, req.max_blocks}});
   arm_fetch_timer(head, req.token,
                   options_.sync_timeout *
                       std::pow(options_.sync_backoff, req.attempt));
-}
-
-void FullNode::resolve_fetch(const Hash256& hash) {
-  pending_fetch_.erase(hash);
 }
 
 void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
@@ -646,54 +653,36 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
         if constexpr (std::is_same_v<T, NewBlock>) {
           const Hash256 hash = m.block.hash();
           if (session) session->mark_known(hash);
-          // Staged ingress (hardening only): known-invalid cache, then the
-          // per-peer rate limit, then cheap structural checks, then the
-          // equivocation detector — each stage rejects before the next one
-          // spends anything, and full execution only runs inside import.
-          if (hardened() && session != nullptr) {
-            if (rejected_.contains(hash)) {
-              ++counters_.invalid_cache_hits;
-              peers_.note_garbage(from);  // re-pushing a block we rejected
-              return;
-            }
-            if (!session->block_bucket.take(network_.loop().now())) {
-              ++counters_.rate_limited;
-              peers_.note_spam(from);
-              return;
-            }
-            if (!precheck_block(m.block)) {
-              ++counters_.precheck_rejections;
-              mark_rejected(hash);
-              peers_.note_garbage(from);
-              return;
-            }
-            if (session->note_child(m.block.header.parent_hash, hash) >=
-                options_.hardening.equivocation_threshold) {
-              ++counters_.equivocations;
-              peers_.note_garbage(from);
-              return;
-            }
-          }
-          if (chain_.contains(hash)) ++counters_.duplicate_block_pushes;
-          resolve_fetch(hash);
-          if (disputed_hashes_.contains(hash)) return;  // header-followed
-          import_and_relay(from, m.block);
-        } else if constexpr (std::is_same_v<T, NewBlockHashes>) {
-          if (hardened() && session != nullptr &&
-              !session->block_bucket.take(
-                  network_.loop().now(),
-                  static_cast<double>(m.hashes.size()))) {
-            ++counters_.rate_limited;
-            peers_.note_spam(from);
+          // staged ingress, cheapest stage first; only import executes
+          if (known_invalid(hash)) {
+            peers_.note_garbage(from);  // re-pushing a block we rejected
             return;
           }
+          if (rate_limited(session, &PeerSession::block_bucket, 1.0, from))
+            return;
+          if (fails_precheck(m.block, hash)) {
+            peers_.note_garbage(from);
+            return;
+          }
+          if (hardened() && session != nullptr &&
+              session->note_child(m.block.header.parent_hash, hash) >=
+                  options_.hardening.equivocation_threshold) {
+            ++counters_.equivocations;
+            peers_.note_garbage(from);
+            return;
+          }
+          if (chain_.contains(hash)) ++counters_.duplicate_block_pushes;
+          pending_fetch_.erase(hash);
+          if (disputed_hashes_.contains(hash)) return;  // header-followed
+          import_and_relay(from, m.block, hash);
+        } else if constexpr (std::is_same_v<T, NewBlockHashes>) {
+          if (rate_limited(session, &PeerSession::block_bucket,
+                           static_cast<double>(m.hashes.size()), from))
+            return;
           for (const Hash256& h : m.hashes) {
             if (session) session->mark_known(h);
-            if (hardened() && rejected_.contains(h)) {
-              // never re-fetch a hash our rules already condemned
-              ++counters_.invalid_cache_hits;
-              continue;
-            }
+            // never re-fetch a hash our rules already condemned
+            if (known_invalid(h)) continue;
             if (!chain_.contains(h)) request_blocks(from, h, 1);
           }
         } else if constexpr (std::is_same_v<T, GetBlocks>) {
@@ -730,61 +719,38 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
             }
           // replies we asked for are exempt from the rate limit — deep sync
           // legitimately delivers large batches in bursts
-          if (hardened() && session != nullptr && !solicited &&
-              !session->block_bucket.take(
-                  network_.loop().now(),
-                  static_cast<double>(m.blocks.size()))) {
-            ++counters_.rate_limited;
-            peers_.note_spam(from);
+          if (!solicited &&
+              rate_limited(session, &PeerSession::block_bucket,
+                           static_cast<double>(m.blocks.size()), from))
             return;
-          }
           for (const core::Block& b : m.blocks) {
             const Hash256 hash = b.hash();
             if (session) session->mark_known(hash);
-            resolve_fetch(hash);
+            pending_fetch_.erase(hash);
             if (disputed_hashes_.contains(hash)) continue;  // header-followed
-            if (hardened()) {
-              if (rejected_.contains(hash)) {
-                ++counters_.invalid_cache_hits;
-                garbage = true;
-                continue;  // absorbed: no re-validation, no re-execution
-              }
-              if (!precheck_block(b)) {
-                ++counters_.precheck_rejections;
-                mark_rejected(hash);
-                garbage = true;
-                continue;
-              }
+            // a cache hit is absorbed: no re-validation, no re-execution
+            if (known_invalid(hash) || fails_precheck(b, hash)) {
+              garbage = true;
+              continue;
             }
-            const auto outcome = import_block(b);
-            if (outcome.result == core::ImportResult::kImported) {
-              ++counters_.blocks_imported;
+            // no relay and no pool pruning here; the peer is credited or
+            // blamed once for the whole batch
+            const auto outcome = import_block(b, hash);
+            const core::ImportResult result = outcome.result;
+            if (result == core::ImportResult::kImported) {
               useful = true;
               if (outcome.became_head) after_head_change();
-            } else if (outcome.result == core::ImportResult::kUnknownParent) {
-              if (disputed_hashes_.contains(b.header.parent_hash)) {
-                // a descendant of a block our rules dispute: follow the
-                // branch header-only instead of orphaning and chasing
-                // ancestors we would refuse to execute anyway
-                note_disputed(b.header, hash);
-                continue;
-              }
-              add_orphan(b, solicited);
+            } else if (result == core::ImportResult::kUnknownParent) {
+              add_orphan(b, hash, solicited);
               if (!still_orphaned) {
                 still_orphaned = true;
                 deepest_missing = b.header.parent_hash;
               }
-            } else if (outcome.result == core::ImportResult::kWrongFork) {
+            } else if (result == core::ImportResult::kWrongFork) {
               wrong_fork = true;
-              mark_rejected(hash);
-            } else if (outcome.result == core::ImportResult::kDisputed) {
-              // validity disagreement with an honest peer — degrade to
-              // header-only following; emphatically NOT garbage (this path
-              // must never feed the ban machinery)
-              note_disputed(b.header, hash);
-            } else if (outcome.result != core::ImportResult::kAlreadyKnown) {
-              garbage = true;  // structurally invalid block
-              note_import_reject(hash, outcome.result);
+            } else if (result != core::ImportResult::kAlreadyKnown &&
+                       result != core::ImportResult::kDisputed) {
+              garbage = true;  // invalid; a dispute is never garbage
             }
           }
           try_orphans();
@@ -801,14 +767,9 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
                            static_cast<std::uint32_t>(options_.sync_batch));
           }
         } else if constexpr (std::is_same_v<T, Transactions>) {
-          if (hardened() && session != nullptr &&
-              !session->tx_bucket.take(
-                  network_.loop().now(),
-                  static_cast<double>(m.transactions.size()))) {
-            ++counters_.rate_limited;
-            peers_.note_spam(from);
+          if (rate_limited(session, &PeerSession::tx_bucket,
+                           static_cast<double>(m.transactions.size()), from))
             return;
-          }
           // each transaction is hashed once per payload, whoever else
           // received it; the pool and the relay reuse that hash
           const std::vector<Hash256>& hashes = payload.tx_hashes();
@@ -845,46 +806,33 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
       *payload.message());
 }
 
-void FullNode::import_and_relay(const NodeId& from, const core::Block& block) {
-  const auto outcome = import_block(block);
+void FullNode::import_and_relay(const NodeId& from, const core::Block& block,
+                                const Hash256& hash) {
+  const auto outcome = import_block(block, hash);
   switch (outcome.result) {
-    case core::ImportResult::kImported: {
-      ++counters_.blocks_imported;
+    case core::ImportResult::kImported:
       peers_.note_useful(from);
       pool_.remove_included(block.transactions, chain_.head_state());
-      relay_block(block, outcome.became_head);
+      relay_block(block, hash, outcome.became_head);
       try_orphans();
       if (outcome.became_head) after_head_change();
       break;
-    }
-    case core::ImportResult::kUnknownParent: {
-      if (disputed_hashes_.contains(block.header.parent_hash)) {
-        // extends a branch our rules dispute: header-only follow, don't
-        // chase ancestors we'd refuse to execute
-        note_disputed(block.header, block.hash());
-        break;
-      }
-      add_orphan(block, /*solicited=*/false);
+    case core::ImportResult::kUnknownParent:
+      add_orphan(block, hash, /*solicited=*/false);
       request_blocks(from, block.header.parent_hash,
                      static_cast<std::uint32_t>(options_.sync_batch));
       break;
-    }
     case core::ImportResult::kWrongFork:
       // a peer pushing the other side's fork block is on the other network
-      mark_rejected(block.hash());
       if (options_.drop_wrong_fork_peers)
         peers_.disconnect(from, DisconnectReason::kWrongFork);
       break;
-    case core::ImportResult::kDisputed:
-      // an honest peer on the other side of a consensus bug: track the
-      // competing head, no demerit, no disconnect (the friendly-fire
-      // failure mode the fork monitor exists to prevent)
-      note_disputed(block.header, block.hash());
-      break;
     case core::ImportResult::kAlreadyKnown:
+    // an honest peer on the other side of a consensus bug: no demerit, no
+    // disconnect (the friendly-fire failure the fork monitor prevents)
+    case core::ImportResult::kDisputed:
       break;
     default:
-      note_import_reject(block.hash(), outcome.result);
       peers_.note_garbage(from);  // structurally invalid push
       break;
   }
@@ -904,9 +852,7 @@ void FullNode::after_head_change() {
     for (const NodeId& peer : peers_.active_peers())
       peers_.rechallenge(peer);
   }
-  if (tracer_ != nullptr)
-    tracer_->instant(
-        "chain", "head", lane_,
+  trace("chain", "head",
         {{"height", static_cast<std::int64_t>(chain_.height())}});
   if (on_head_changed) on_head_changed();
 }
@@ -915,8 +861,8 @@ void FullNode::update_orphan_gauge() {
   obs::set(tm_orphan_occ_, static_cast<double>(orphan_order_.size()));
 }
 
-void FullNode::add_orphan(const core::Block& block, bool solicited) {
-  const Hash256 hash = block.hash();
+void FullNode::add_orphan(const core::Block& block, const Hash256& hash,
+                          bool solicited) {
   auto& bucket = orphans_[block.header.parent_hash];
   for (const core::Block& b : bucket)
     if (b.hash() == hash) return;  // duplicate orphan
@@ -958,36 +904,25 @@ void FullNode::try_orphans() {
       std::erase_if(orphan_order_,
                     [&](const OrphanRef& r) { return r.parent == parent; });
       for (const core::Block& block : children) {
-        const auto outcome = import_block(block);
-        if (outcome.result == core::ImportResult::kImported) {
-          ++counters_.blocks_imported;
-          relay_block(block, outcome.became_head);
-          if (outcome.became_head) after_head_change();
-          progress = true;
-        } else if (outcome.result == core::ImportResult::kDisputed) {
-          // an orphan our rules dispute now that its parent arrived:
-          // header-only follow, no blame
-          note_disputed(block.header, block.hash());
-        } else if (outcome.result != core::ImportResult::kAlreadyKnown &&
-                   outcome.result != core::ImportResult::kUnknownParent) {
-          // an orphan that turned out invalid once its parent arrived (a
-          // forger building on a real ancestor); cache it so re-sends are
-          // absorbed without another execution
-          note_import_reject(block.hash(), outcome.result);
-        }
+        const Hash256 hash = block.hash();
+        const auto outcome = import_block(block, hash);
+        if (outcome.result != core::ImportResult::kImported) continue;
+        relay_block(block, hash, outcome.became_head);
+        if (outcome.became_head) after_head_change();
+        progress = true;
       }
     }
   }
   update_orphan_gauge();
 }
 
-void FullNode::relay_block(const core::Block& block, bool became_head) {
+void FullNode::relay_block(const core::Block& block, const Hash256& hash,
+                           bool became_head) {
   // Hardened nodes only forward blocks that advanced their own head: a
   // flood of valid same-parent siblings (equivocation) dies at the first
   // honest hop instead of being amplified, and the sibling detector can
   // then never fire on an honest relay.
   if (hardened() && !became_head) return;
-  const Hash256 hash = block.hash();
   std::vector<NodeId> targets;
   for (const NodeId& peer : peers_.active_peers()) {
     PeerSession* session = peers_.session(peer);
@@ -1059,11 +994,11 @@ core::PoolAddResult FullNode::submit_transaction(const core::Transaction& tx) {
 }
 
 core::ImportOutcome FullNode::submit_block(const core::Block& block) {
-  const auto outcome = import_block(block);
+  const Hash256 hash = block.hash();
+  const auto outcome = import_block(block, hash, /*mined_here=*/true);
   if (outcome.result == core::ImportResult::kImported) {
-    ++counters_.blocks_imported;
     pool_.remove_included(block.transactions, chain_.head_state());
-    relay_block(block, outcome.became_head);
+    relay_block(block, hash, outcome.became_head);
     if (outcome.became_head) after_head_change();
   }
   return outcome;

@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/chain.hpp"
 #include "core/txpool.hpp"
@@ -339,17 +338,20 @@ class FullNode {
   std::optional<core::BlockHeader> dao_header() const;
   bool check_dao_header(const std::optional<core::BlockHeader>& header) const;
 
-  void import_and_relay(const p2p::NodeId& from, const core::Block& block);
+  /// The push path: import, then relay, orphan or blame `from`.
+  void import_and_relay(const p2p::NodeId& from, const core::Block& block,
+                        const Hash256& hash);
   void after_head_change();
-  void add_orphan(const core::Block& block, bool solicited);
+  void add_orphan(const core::Block& block, const Hash256& hash,
+                  bool solicited);
   void try_orphans();
   void request_blocks(const p2p::NodeId& peer, const Hash256& head,
                       std::uint32_t count);
   void arm_fetch_timer(const Hash256& head, std::uint64_t token,
                        double timeout);
   void on_fetch_timeout(const Hash256& head, std::uint64_t token);
-  void resolve_fetch(const Hash256& hash);
-  void relay_block(const core::Block& block, bool became_head);
+  void relay_block(const core::Block& block, const Hash256& hash,
+                   bool became_head);
   /// Gossip `batch` to every active peer but `skip`, each peer getting the
   /// transactions it does not know yet. `hashes[i]` is the hash of
   /// `batch.transactions[i]`.
@@ -358,9 +360,14 @@ class FullNode {
                           const std::optional<p2p::NodeId>& skip);
   void send(const p2p::NodeId& to, const p2p::Message& msg);
 
-  /// chain_.import plus durability: imported blocks are appended to the
-  /// attached store (skipped while a recovery replay is re-reading them).
-  core::ImportOutcome import_block(const core::Block& block);
+  /// The one import-outcome handler (only the cold-restart replay calls
+  /// chain_.import directly): counts and stores an imported block, follows
+  /// a disputed one — or its descendant, reported as kDisputed — header-only
+  /// unless `mined_here`, and caches a wrong-fork or invalid one as
+  /// rejected. `hash` is `block.hash()`.
+  core::ImportOutcome import_block(const core::Block& block,
+                                   const Hash256& hash,
+                                   bool mined_here = false);
 
   p2p::Network& network_;
   p2p::NodeId id_;
@@ -403,22 +410,16 @@ class FullNode {
 
   /// Hashes our rules rejected (wrong-fork / invalid blocks): never
   /// re-fetched no matter how often the other side re-announces them.
-  /// Bounded FIFO so a hostile flood of junk hashes can't grow it forever.
-  std::unordered_set<Hash256, Hash256Hasher> rejected_;
-  std::deque<Hash256> rejected_order_;
-  void mark_rejected(const Hash256& hash);
+  p2p::BoundedHashSet rejected_;
 
   /// Fork monitor (empty unless a validation overlay disputes something).
   /// Disputed hashes are tracked separately from rejected_: both suppress
   /// re-fetching, but a dispute is a validity *disagreement* with an honest
   /// peer — it carries no blame, and the cache is cleared (not kept) by
   /// apply_consensus_patch so the blocks can be re-fetched and revalidated.
-  /// Headers are kept (header-only following) so the monitor knows the
-  /// competing branch's shape and the patch knows which tip to pull.
-  std::unordered_set<Hash256, Hash256Hasher> disputed_hashes_;
-  std::deque<Hash256> disputed_order_;
-  std::unordered_map<Hash256, core::BlockHeader, Hash256Hasher>
-      disputed_headers_;
+  /// Of the competing branch only the range is kept: enough to raise
+  /// `divergence`, and the tip the patch pulls.
+  p2p::BoundedHashSet disputed_hashes_;
   DisputedRange disputed_;
   /// Track a disputed header: header-only follow, fetch-suppress, extend
   /// the range, raise `divergence` once the competing branch persists.
@@ -435,19 +436,28 @@ class FullNode {
   std::unordered_map<p2p::NodeId, double, p2p::NodeIdHasher> peer_first_seen_;
   std::vector<p2p::NodeId> anchors_;
 
-  /// Durability layer (null / zero unless a store is attached).
+  /// Durability layer (null unless a store is attached).
   db::BlockStore* store_ = nullptr;
-  bool replaying_ = false;  // recovery replay must not re-append its input
 
-  /// Staged ingress pipeline helpers (active only under hardening).
+  /// Staged ingress, in order: known-invalid cache, per-peer rate limit,
+  /// structural precheck, equivocation detector. Each stage rejects before
+  /// the next spends anything; an unhardened node's stages admit all.
   bool hardened() const noexcept { return options_.hardening.enabled; }
-  /// Cheap structural plausibility: field sizes and arithmetic only — no
-  /// trie roots, no execution, no extra telemetry in honest runs.
-  bool precheck_block(const core::Block& block) const;
+  /// Hardened only: a counted hit in the known-invalid cache.
+  bool known_invalid(const Hash256& hash);
+  /// Charge `cost` to `session`'s `bucket` (armed only under hardening);
+  /// a refusal is counted and costs `from` a spam demerit.
+  bool rate_limited(p2p::PeerSession* session,
+                    p2p::TokenBucket p2p::PeerSession::*bucket, double cost,
+                    const p2p::NodeId& from);
+  /// Hardened only: field sizes and arithmetic, no roots, no execution. A
+  /// failing block is counted and cached as rejected.
+  bool fails_precheck(const core::Block& block, const Hash256& hash);
   void init_session_buckets(const p2p::NodeId& peer);
-  /// Record an import rejection: cache the hash and attribute wasted
-  /// execution work when the block got as far as running transactions.
-  void note_import_reject(const Hash256& hash, core::ImportResult result);
+
+  /// The one trace hook: an instant on this node's lane, if attached.
+  void trace(std::string_view cat, std::string_view name,
+             std::initializer_list<obs::EventTracer::Arg> args = {});
 
   void update_orphan_gauge();
   obs::Gauge* tm_orphan_occ_ = nullptr;

@@ -303,72 +303,91 @@ TEST_F(AdversaryConvergenceTest, EquivocatorDetectedBySiblingTracking) {
       0u);
 }
 
+/// A genesis-only victim and attacker host with one active session between
+/// them, both configured with `hardening`. The attacker host is the
+/// victim's only peer, so every demerit and every ban is its own.
+struct IngressPair {
+  explicit IngressPair(const HardeningOptions& hardening)
+      : network(loop, Rng(5), LatencyModel{0.01, 0.0, 0.0, 0.0}) {
+    NodeOptions options;
+    options.genesis_difficulty = U256(100'000);
+    options.hardening = hardening;
+    victim = std::make_unique<FullNode>(
+        network, test_id(1), core::ChainConfig::mainnet_pre_fork(), executor,
+        core::GenesisAlloc{}, Rng(1), options);
+    host = std::make_unique<FullNode>(
+        network, test_id(2), core::ChainConfig::mainnet_pre_fork(), executor,
+        core::GenesisAlloc{}, Rng(2), options);
+    victim->start({});
+    host->start({victim->id()});
+    loop.run_until(30.0);
+  }
+
+  /// Put `msg` on the wire from the attacker host, past its honest paths.
+  void send_raw(const p2p::Message& msg) {
+    network.send(host->id(), victim->id(), p2p::encode_message(msg));
+  }
+
+  bool attacker_banned() const {
+    return victim->peers().ever_banned(host->id());
+  }
+
+  p2p::EventLoop loop;
+  p2p::Network network;
+  evm::EvmExecutor executor;
+  std::unique_ptr<FullNode> victim;
+  std::unique_ptr<FullNode> host;
+};
+
+HardeningOptions hardening_on() {
+  HardeningOptions h;
+  h.enabled = true;
+  return h;
+}
+
 // With hardening off (the default), the staged-pipeline counters stay zero
 // and every re-push is re-validated from scratch — the attacker is still
 // banned (garbage imports), but only after repeatedly wasted work. The
 // pipeline's value is turning "banned eventually" into "absorbed for free".
 TEST(AdversaryBaselineTest, UnhardenedNodeRevalidatesEveryRepush) {
-  p2p::EventLoop loop;
-  p2p::Network network(loop, Rng(5), LatencyModel{0.01, 0.0, 0.0, 0.0});
-  evm::EvmExecutor executor;
-  NodeOptions options;
-  options.genesis_difficulty = U256(100'000);
-  ASSERT_FALSE(options.hardening.enabled);  // the default stays off
-  FullNode victim(network, test_id(1), core::ChainConfig::mainnet_pre_fork(),
-                  executor, core::GenesisAlloc{}, Rng(1), options);
-  FullNode attacker_host(network, test_id(2),
-                         core::ChainConfig::mainnet_pre_fork(), executor,
-                         core::GenesisAlloc{}, Rng(2), options);
-  victim.start({});
-  attacker_host.start({victim.id()});
-  loop.run_until(30.0);
-
+  ASSERT_FALSE(HardeningOptions{}.enabled);  // the default stays off
+  IngressPair pair(HardeningOptions{});
   AdversaryOptions opt;
   opt.kind = AdversaryKind::kInvalidForger;
   opt.interval = 5.0;
-  Adversary adv(attacker_host, opt, Rng(9));
+  Adversary adv(*pair.host, opt, Rng(9));
   adv.start();
-  loop.run_until(120.0);
+  pair.loop.run_until(120.0);
   adv.stop();
 
+  const NodeCounters& v = pair.victim->counters();
   EXPECT_GT(adv.counters().blocks_forged, 0u);
   // un-hardened: no staged-pipeline counters move, every push re-validated
-  EXPECT_EQ(victim.counters().invalid_cache_hits, 0u);
-  EXPECT_EQ(victim.counters().precheck_rejections, 0u);
-  EXPECT_EQ(victim.counters().rate_limited, 0u);
+  EXPECT_EQ(v.invalid_cache_hits, 0u);
+  EXPECT_EQ(v.precheck_rejections, 0u);
+  EXPECT_EQ(v.rate_limited, 0u);
   // but invalid blocks still cost garbage demerits -> the attacker is banned
-  EXPECT_TRUE(victim.peers().ever_banned(attacker_host.id()));
+  EXPECT_TRUE(pair.attacker_banned());
 }
 
 // The hardened Transactions rate limit, end to end: a spam batch bigger
 // than the per-peer tx burst is dropped whole at the door, before any of
 // it is counted or pooled, and each drop is a spam demerit on the sender.
 TEST(AdversaryBaselineTest, HardenedTxRateLimitDropsOversizedSpamBatches) {
-  p2p::EventLoop loop;
-  p2p::Network network(loop, Rng(5), LatencyModel{0.01, 0.0, 0.0, 0.0});
-  evm::EvmExecutor executor;
-  NodeOptions options;
-  options.genesis_difficulty = U256(100'000);
-  options.hardening.enabled = true;
-  options.hardening.tx_burst = 16.0;
-  FullNode victim(network, test_id(1), core::ChainConfig::mainnet_pre_fork(),
-                  executor, core::GenesisAlloc{}, Rng(1), options);
-  FullNode attacker_host(network, test_id(2),
-                         core::ChainConfig::mainnet_pre_fork(), executor,
-                         core::GenesisAlloc{}, Rng(2), options);
-  victim.start({});
-  attacker_host.start({victim.id()});
-  loop.run_until(30.0);
-  ASSERT_NE(victim.peers().session(attacker_host.id()), nullptr);
+  HardeningOptions hardening = hardening_on();
+  hardening.tx_burst = 16.0;
+  IngressPair pair(hardening);
+  FullNode& victim = *pair.victim;
+  ASSERT_NE(victim.peers().session(pair.host->id()), nullptr);
 
   AdversaryOptions opt;
   opt.kind = AdversaryKind::kTxSpammer;
   opt.interval = 5.0;
   // every batch is larger than the bucket can ever hold
-  ASSERT_GT(static_cast<double>(opt.spam_batch), options.hardening.tx_burst);
-  Adversary adv(attacker_host, opt, Rng(9));
+  ASSERT_GT(static_cast<double>(opt.spam_batch), hardening.tx_burst);
+  Adversary adv(*pair.host, opt, Rng(9));
   adv.start();
-  loop.run_until(60.0);
+  pair.loop.run_until(60.0);
   adv.stop();
 
   EXPECT_GT(adv.counters().txs_spammed, 0u);
@@ -442,6 +461,124 @@ TEST(AdversaryBaselineTest, QuirkDisputeIsNeverBannedButForgerStillIs) {
   // while the forger in the same network is still score-banned
   EXPECT_GT(adv.counters().blocks_forged, 0u);
   EXPECT_TRUE(victim.peers().ever_banned(attacker_host.id()));
+}
+
+// ------------------------------------- staged ingress, stage by stage
+
+// Each forge defect is caught at its own stage, and what that costs the
+// victim is pinned counter by counter. Hardened: a bad structure dies in
+// the precheck with no execution, a bad difficulty in header validation,
+// a bad state root only after a full execution; the re-pushes that follow
+// are cache hits until the attacker is banned. Unhardened: no staged
+// counter moves, and the bad structure is executed like a bad state root.
+TEST(AdversaryBaselineTest, ForgeDefectsPinEachIngressStage) {
+  struct Case {
+    ForgeDefect defect;
+    bool hardened;
+    std::uint64_t precheck_rejections;
+    std::uint64_t wasted_executions;
+    std::uint64_t invalid_cache_hits;
+  };
+  const Case cases[] = {
+      {ForgeDefect::kBadStateRoot, false, 0, 2, 0},
+      {ForgeDefect::kBadDifficulty, false, 0, 0, 0},
+      {ForgeDefect::kBadStructure, false, 0, 2, 0},
+      {ForgeDefect::kBadStateRoot, true, 0, 1, 1},
+      {ForgeDefect::kBadDifficulty, true, 0, 0, 1},
+      {ForgeDefect::kBadStructure, true, 1, 0, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "defect " << static_cast<int>(c.defect) << " hardened "
+                 << c.hardened);
+    IngressPair pair(c.hardened ? hardening_on() : HardeningOptions{});
+    AdversaryOptions opt;
+    opt.kind = AdversaryKind::kInvalidForger;
+    opt.interval = 5.0;
+    opt.defect = c.defect;
+    Adversary adv(*pair.host, opt, Rng(9));
+    adv.start();
+    pair.loop.run_until(120.0);
+    adv.stop();
+
+    const NodeCounters& v = pair.victim->counters();
+    // one forgery and two re-pushes of it; two garbage demerits ban the
+    // attacker, so the third message finds no session
+    EXPECT_EQ(adv.counters().blocks_forged, 1u);
+    EXPECT_EQ(v.precheck_rejections, c.precheck_rejections);
+    EXPECT_EQ(v.wasted_executions, c.wasted_executions);
+    EXPECT_EQ(v.invalid_cache_hits, c.invalid_cache_hits);
+    EXPECT_EQ(v.rate_limited, 0u);
+    EXPECT_EQ(v.equivocations, 0u);
+    EXPECT_EQ(v.blocks_imported, 0u);
+    EXPECT_EQ(pair.victim->peers().bans(), 1u);
+    EXPECT_TRUE(pair.attacker_banned());
+  }
+}
+
+// The block bucket also gates announcements: a withholder whose
+// NewBlockHashes batch is larger than the whole block burst is refused at
+// the door every round, before any hash is fetched, and the spam demerits
+// add up to a ban.
+TEST(AdversaryBaselineTest, BlockBucketRefusesOversizedAnnouncements) {
+  HardeningOptions hardening = hardening_on();
+  hardening.block_burst = 2.0;
+  IngressPair pair(hardening);
+  AdversaryOptions opt;
+  opt.kind = AdversaryKind::kWithholder;
+  opt.interval = 5.0;
+  ASSERT_GT(static_cast<double>(opt.withhold_batch), hardening.block_burst);
+  Adversary adv(*pair.host, opt, Rng(9));
+  adv.start();
+  pair.loop.run_until(120.0);
+  adv.stop();
+
+  const NodeCounters& v = pair.victim->counters();
+  // five refusals at -1 each reach the ban score; the sixth round finds
+  // no session to announce to
+  EXPECT_EQ(adv.counters().phantom_announcements, 20u);
+  EXPECT_EQ(v.rate_limited, 5u);
+  EXPECT_EQ(pair.victim->peers().spam_penalties(), v.rate_limited);
+  // refused whole: nothing was ever asked for, so nothing timed out
+  EXPECT_EQ(v.sync_timeouts, 0u);
+  EXPECT_EQ(v.withheld, 0u);
+  EXPECT_EQ(pair.victim->sync_inflight(), 0u);
+  EXPECT_TRUE(pair.attacker_banned());
+}
+
+// An unsolicited Blocks batch runs every block through the cache and the
+// precheck on its own: the valid block imports, the known-invalid one is
+// absorbed without re-execution, the bad-structure one is refused before
+// execution, and the batch costs its sender one garbage demerit.
+TEST(AdversaryBaselineTest, UnsolicitedBatchSortsBlocksByStage) {
+  IngressPair pair(hardening_on());
+  core::Blockchain& chain = pair.host->chain();
+  const Address coinbase = Address::left_padded(Bytes{0x0c});
+  const core::Timestamp ts = chain.head().header.timestamp;
+  const core::Block valid = chain.produce_block(coinbase, ts + 13, {}, 1);
+  core::Block bad_root = chain.produce_block(coinbase, ts + 14, {}, 2);
+  bad_root.header.state_root = test_id(99);
+  core::Block bad_structure = chain.produce_block(coinbase, ts + 15, {}, 3);
+  bad_structure.header.extra_data.assign(64, 0xad);
+
+  // first push: bad_root is executed once and cached as invalid
+  pair.send_raw(p2p::Message{
+      p2p::NewBlock{bad_root, chain.total_difficulty_of(chain.head_hash()) +
+                                  bad_root.header.difficulty}});
+  pair.loop.run_until(31.0);
+  const NodeCounters& v = pair.victim->counters();
+  EXPECT_EQ(v.wasted_executions, 1u);
+  EXPECT_FALSE(pair.attacker_banned());
+
+  pair.send_raw(p2p::Message{p2p::Blocks{{valid, bad_root, bad_structure}}});
+  pair.loop.run_until(32.0);
+  EXPECT_EQ(v.blocks_imported, 1u);
+  EXPECT_EQ(v.invalid_cache_hits, 1u);
+  EXPECT_EQ(v.precheck_rejections, 1u);
+  EXPECT_EQ(v.wasted_executions, 1u);
+  EXPECT_EQ(v.rate_limited, 0u);
+  EXPECT_EQ(pair.victim->chain().head_hash(), valid.hash());
+  EXPECT_TRUE(pair.attacker_banned());
 }
 
 }  // namespace
