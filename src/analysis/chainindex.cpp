@@ -99,14 +99,6 @@ TimeSeries ChainIndex::blocks_over_time(Chain chain,
   return ts;
 }
 
-TimeSeries ChainIndex::txs_over_time(Chain chain,
-                                     double bucket_seconds) const {
-  TimeSeries ts(bucket_seconds);
-  for (const auto& [hash, tx] : side(chain).txs)
-    ts.record(static_cast<SimTime>(tx.timestamp));
-  return ts;
-}
-
 TimeSeries ChainIndex::difficulty_over_time(Chain chain,
                                             double bucket_seconds) const {
   TimeSeries ts(bucket_seconds);

@@ -65,8 +65,6 @@ class ChainIndex {
   // ---- aggregates (the figures' raw series) -------------------------------
   /// Blocks per time bucket.
   TimeSeries blocks_over_time(Chain chain, double bucket_seconds) const;
-  /// Transactions per time bucket.
-  TimeSeries txs_over_time(Chain chain, double bucket_seconds) const;
   /// Average difficulty per bucket.
   TimeSeries difficulty_over_time(Chain chain, double bucket_seconds) const;
   /// Fraction of transactions that are contract interactions, per bucket.

@@ -44,8 +44,8 @@ Blockchain::Blockchain(ChainConfig config, Executor& executor,
 }
 
 void Blockchain::reset_to_genesis() {
-  // Genesis is never pruned (prune_states_below keeps checkpoint 0), so
-  // its record — including the post-alloc state — can seed the fresh map.
+  // The genesis record — including the post-alloc state — seeds the
+  // fresh map.
   const Hash256 genesis_hash = canonical_.at(0);
   Record genesis = std::move(records_.at(genesis_hash));
   records_.clear();
@@ -285,8 +285,6 @@ ImportOutcome Blockchain::import_impl(const Block& block) {
 
   const Record* parent = record(block.header.parent_hash);
   if (parent == nullptr) return {ImportResult::kUnknownParent};
-  if (parent->post_state == nullptr)
-    return {ImportResult::kUnknownParent};  // pruned ancestor; cannot verify
 
   ImportResult header_check = validate_header(block.header, *parent);
   // The validation overlay (when installed) reviews every built-in verdict;
@@ -436,17 +434,6 @@ Block Blockchain::produce_block(const Address& coinbase, Timestamp timestamp,
   h.state_root = state.root();
   obs::inc(tm_produced_);
   return block;
-}
-
-void Blockchain::prune_states_below(BlockNumber height,
-                                    BlockNumber checkpoint_interval) {
-  for (auto& [hash, rec] : records_) {
-    const BlockNumber n = rec.block.header.number;
-    if (n >= height) continue;
-    if (n % checkpoint_interval == 0) continue;  // keep checkpoints
-    if (hash == head_hash_) continue;
-    rec.post_state.reset();
-  }
 }
 
 }  // namespace forksim::core

@@ -157,12 +157,6 @@ class Blockchain {
   /// decides whether the edit is applied).
   void set_dao_accounts(std::vector<Address> accounts, Address refund);
 
-  /// Drop stored per-block states below `height`, keeping every
-  /// `checkpoint_interval`-th block (reorgs deeper than the kept window
-  /// become impossible; callers trading memory for that risk say so here).
-  void prune_states_below(BlockNumber height,
-                          BlockNumber checkpoint_interval = 1024);
-
   std::size_t block_count() const noexcept { return records_.size(); }
 
   /// Register chain.import.<result> counters, a chain.reorg_depth
@@ -176,7 +170,7 @@ class Blockchain {
   struct Record {
     Block block;
     U256 total_difficulty;
-    std::shared_ptr<const State> post_state;  // null if pruned
+    std::shared_ptr<const State> post_state;
     std::vector<Receipt> receipts;
   };
 

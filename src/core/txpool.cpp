@@ -7,6 +7,9 @@ namespace forksim::core {
 
 namespace {
 
+/// Allow at most this many queued nonces ahead of the account nonce.
+constexpr std::uint64_t kMaxNonceGap = 64;
+
 /// Metric-name slug per admission outcome.
 const char* result_slug(PoolAddResult r) {
   switch (r) {
@@ -60,7 +63,7 @@ PoolAddResult TxPool::add_impl(const Transaction& tx, const Hash256& hash,
 
   const std::uint64_t account_nonce = state.nonce(*sender);
   if (tx.nonce < account_nonce) return PoolAddResult::kNonceTooLow;
-  if (tx.nonce > account_nonce + options_.max_nonce_gap)
+  if (tx.nonce > account_nonce + kMaxNonceGap)
     return PoolAddResult::kPoolFull;  // unusable for a long time; refuse
 
   auto& sender_slots = by_sender_[*sender];

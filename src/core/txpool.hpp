@@ -35,8 +35,6 @@ class TxPool {
   struct Options {
     std::size_t capacity = 16384;
     Wei min_gas_price = Wei(1);
-    /// Allow at most this many queued nonces ahead of the account nonce.
-    std::uint64_t max_nonce_gap = 64;
   };
 
   TxPool(const ChainConfig& config, Options options)

@@ -248,17 +248,10 @@ Bytes dao_execute_calldata() { return word_calldata(kDaoExecute); }
 Bytes dao_withdraw_calldata() { return word_calldata(kDaoWithdraw); }
 
 Bytes bank_deposit_calldata() { return word_calldata(kBankDeposit); }
-Bytes bank_withdraw_calldata() { return word_calldata(kBankWithdraw); }
 
 Bytes attacker_start_calldata(const Address& bank) {
   Bytes out = word_calldata(kAttackerStart);
   append_address_word(out, bank);
-  return out;
-}
-
-Bytes forwarder_calldata(const Address& target) {
-  Bytes out;
-  append_address_word(out, target);
   return out;
 }
 

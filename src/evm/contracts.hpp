@@ -75,12 +75,9 @@ Bytes dao_vote_calldata();
 Bytes dao_execute_calldata();
 Bytes dao_withdraw_calldata();
 
-/// Calldata for bank deposit / withdraw.
+/// Calldata for bank deposit.
 Bytes bank_deposit_calldata();
-Bytes bank_withdraw_calldata();
 /// Calldata for attacker start(bank).
 Bytes attacker_start_calldata(const Address& bank);
-/// Calldata for forwarder: forward to `target`.
-Bytes forwarder_calldata(const Address& target);
 
 }  // namespace forksim::evm::contracts

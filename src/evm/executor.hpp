@@ -25,13 +25,6 @@ class EvmExecutor final : public core::Executor {
   /// turns on the interpreter's per-opcode tally.
   void attach_telemetry(obs::Registry& reg);
 
-  /// Opcodes executed since construction (0 until telemetry is attached —
-  /// the interpreter only tallies when asked to).
-  std::uint64_t ops_executed() const noexcept { return ops_; }
-  const std::array<std::uint64_t, 256>& opcode_counts() const noexcept {
-    return opcode_counts_;
-  }
-
  private:
   bool count_opcodes_ = false;
   std::array<std::uint64_t, 256> opcode_counts_{};

@@ -11,12 +11,6 @@ void FaultInjector::set_link_latency(const NodeId& from, const NodeId& to,
   link_latency_[LinkKey{from, to}] = m;
 }
 
-void FaultInjector::set_link_latency_bidi(const NodeId& a, const NodeId& b,
-                                          LatencyModel m) {
-  set_link_latency(a, b, m);
-  set_link_latency(b, a, m);
-}
-
 void FaultInjector::clear_link_latency(const NodeId& from, const NodeId& to) {
   link_latency_.erase(LinkKey{from, to});
 }
@@ -49,24 +43,13 @@ void FaultInjector::schedule_link_cut(const NodeId& a, const NodeId& b,
   loop_.schedule(start_in + duration, [this, a, b] { heal_link_bidi(a, b); });
 }
 
-void FaultInjector::cut_node(const NodeId& id) { node_cuts_.insert(id); }
-
-void FaultInjector::heal_node(const NodeId& id) { node_cuts_.erase(id); }
-
-void FaultInjector::schedule_node_cut(const NodeId& id, double start_in,
-                                      double duration) {
-  loop_.schedule(start_in, [this, id] { cut_node(id); });
-  loop_.schedule(start_in + duration, [this, id] { heal_node(id); });
-}
-
 void FaultInjector::on_send(Network& network, const NodeId& from,
                             const NodeId& to, PayloadPtr data) {
   if (drop_filter_ && drop_filter_(from, to, data->wire())) {
     ++counters_.dropped_by_filter;
     return;
   }
-  if (node_cuts_.contains(from) || node_cuts_.contains(to) ||
-      link_cuts_.contains(LinkKey{from, to})) {
+  if (link_cuts_.contains(LinkKey{from, to})) {
     ++counters_.dropped_by_cut;
     return;
   }

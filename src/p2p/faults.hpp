@@ -2,11 +2,11 @@
 //
 // A FaultInjector interposes on Network::send and adjudicates every
 // message with its own seeded Rng: per-link latency/loss overrides, hard
-// link and node cuts (network-layer partitions independent of the
-// consensus fork), probabilistic duplication and reordering, and an
-// arbitrary drop filter for surgical tests ("lose exactly the next Blocks
-// reply"). Cuts can be scheduled ahead of time through the event loop, so
-// a whole chaos timeline replays bit-identically from a seed.
+// link cuts (network-layer partitions independent of the consensus fork),
+// probabilistic duplication and reordering, and an arbitrary drop filter
+// for surgical tests ("lose exactly the next Blocks reply"). Cuts can be
+// scheduled ahead of time through the event loop, so a whole chaos
+// timeline replays bit-identically from a seed.
 //
 // ChurnSchedule is the node-level counterpart: a seeded crash/restart
 // timetable. It is pure data — the sim layer (sim/chaos.hpp) applies it to
@@ -69,7 +69,6 @@ class FaultInjector {
 
   // ---- per-link latency/loss overrides ----------------------------------
   void set_link_latency(const NodeId& from, const NodeId& to, LatencyModel m);
-  void set_link_latency_bidi(const NodeId& a, const NodeId& b, LatencyModel m);
   void clear_link_latency(const NodeId& from, const NodeId& to);
 
   // ---- link cuts --------------------------------------------------------
@@ -82,12 +81,6 @@ class FaultInjector {
   /// `duration` more seconds.
   void schedule_link_cut(const NodeId& a, const NodeId& b, double start_in,
                          double duration);
-
-  // ---- node cuts (NIC down: node stays attached but unreachable) --------
-  void cut_node(const NodeId& id);
-  void heal_node(const NodeId& id);
-  bool node_is_cut(const NodeId& id) const { return node_cuts_.contains(id); }
-  void schedule_node_cut(const NodeId& id, double start_in, double duration);
 
   // ---- global knobs (applied on top of the effective latency model) -----
   /// Extra drop probability for every message.
@@ -115,7 +108,6 @@ class FaultInjector {
   Rng rng_;
   std::unordered_map<LinkKey, LatencyModel, LinkKeyHasher> link_latency_;
   std::unordered_set<LinkKey, LinkKeyHasher> link_cuts_;
-  std::unordered_set<NodeId, NodeIdHasher> node_cuts_;
   double extra_loss_ = 0.0;
   double duplicate_prob_ = 0.0;
   double reorder_prob_ = 0.0;

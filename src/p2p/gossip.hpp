@@ -15,9 +15,10 @@ struct GossipPolicy {
   /// Fraction exponent: push to ceil(n^exponent) peers (0.5 = sqrt — the
   /// geth default; 1.0 = flood; the ablation bench sweeps this).
   double push_exponent = 0.5;
-  /// Always push to at least this many peers.
-  std::size_t min_push = 1;
 };
+
+/// Always push to at least this many peers.
+inline constexpr std::size_t kMinPush = 1;
 
 /// Split `peers` into (push, announce) per the policy, shuffling with `rng`
 /// so the push subset varies per block.
@@ -34,7 +35,7 @@ inline std::pair<std::vector<NodeId>, std::vector<NodeId>> split_for_gossip(
           : static_cast<std::size_t>(std::ceil(
                 std::pow(static_cast<double>(peers.size()),
                          policy.push_exponent)));
-  push_count = std::max(push_count, std::min(policy.min_push, peers.size()));
+  push_count = std::max(push_count, std::min(kMinPush, peers.size()));
   push_count = std::min(push_count, peers.size());
   std::vector<NodeId> push(peers.begin(),
                            peers.begin() + static_cast<std::ptrdiff_t>(push_count));

@@ -224,28 +224,4 @@ const std::vector<Hash256>& Payload::tx_hashes() const {
   return tx_hashes_;
 }
 
-std::string_view message_name(const Message& msg) {
-  return std::visit(
-      [](const auto& m) -> std::string_view {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Ping>) return "PING";
-        else if constexpr (std::is_same_v<T, Pong>) return "PONG";
-        else if constexpr (std::is_same_v<T, FindNode>) return "FIND_NODE";
-        else if constexpr (std::is_same_v<T, Neighbors>) return "NEIGHBORS";
-        else if constexpr (std::is_same_v<T, Status>) return "STATUS";
-        else if constexpr (std::is_same_v<T, NewBlockHashes>)
-          return "NEW_BLOCK_HASHES";
-        else if constexpr (std::is_same_v<T, Transactions>)
-          return "TRANSACTIONS";
-        else if constexpr (std::is_same_v<T, GetBlocks>) return "GET_BLOCKS";
-        else if constexpr (std::is_same_v<T, Blocks>) return "BLOCKS";
-        else if constexpr (std::is_same_v<T, NewBlock>) return "NEW_BLOCK";
-        else if constexpr (std::is_same_v<T, GetDaoHeader>)
-          return "GET_DAO_HEADER";
-        else if constexpr (std::is_same_v<T, DaoHeader>) return "DAO_HEADER";
-        else return "DISCONNECT";
-      },
-      msg);
-}
-
 }  // namespace forksim::p2p

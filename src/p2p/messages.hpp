@@ -150,7 +150,4 @@ inline PayloadPtr make_payload(Bytes wire) {
   return std::make_shared<const Payload>(std::move(wire));
 }
 
-/// Human-readable tag (telemetry).
-std::string_view message_name(const Message& msg);
-
 }  // namespace forksim::p2p

@@ -4,6 +4,23 @@
 
 namespace forksim::p2p {
 
+namespace {
+
+/// Session score at (or below) which a peer is dropped and banned.
+constexpr int kBanScore = -5;
+/// Score ceiling so long-lived good peers can't bank unlimited credit.
+constexpr int kMaxScore = 8;
+/// How long a banned peer stays un-dialable (sim seconds).
+constexpr double kBanSeconds = 180.0;
+/// Active peer silent for this long -> send a keepalive ping.
+constexpr double kPingAfter = 30.0;
+/// Still silent this long after the ping -> drop as unresponsive. This is
+/// what unsticks sessions to crashed peers (churn): the remote never said
+/// goodbye, so only silence gives it away.
+constexpr double kDropAfter = 90.0;
+
+}  // namespace
+
 bool TokenBucket::take(SimTime now, double cost) {
   if (!enabled()) return true;
   if (now > last) {
@@ -47,13 +64,6 @@ std::size_t PeerSet::active_count() const {
   std::size_t n = 0;
   for (const auto& [_, s] : sessions_)
     if (s.state == PeerState::kActive) ++n;
-  return n;
-}
-
-std::size_t PeerSet::inbound_count() const {
-  std::size_t n = 0;
-  for (const auto& [_, s] : sessions_)
-    if (s.inbound) ++n;
   return n;
 }
 
@@ -178,10 +188,10 @@ std::size_t PeerSet::reap_stalled(std::uint32_t max_ticks) {
     if (session.state == PeerState::kActive) {
       session.stalled_ticks = 0;
       const SimTime silent = t - session.last_message;
-      if (silent > policy_.drop_after && session.ping_outstanding) {
+      if (silent > kDropAfter && session.ping_outstanding) {
         dead.push_back(id);
         ++liveness_dead;
-      } else if (silent > policy_.ping_after && !session.ping_outstanding) {
+      } else if (silent > kPingAfter && !session.ping_outstanding) {
         session.ping_outstanding = true;
         cb_.send(id, Message{Ping{}});
       }
@@ -207,7 +217,7 @@ void PeerSet::touch(const NodeId& id) {
 void PeerSet::note_useful(const NodeId& id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
-  it->second.score = std::min(it->second.score + 1, policy_.max_score);
+  it->second.score = std::min(it->second.score + 1, kMaxScore);
 }
 
 void PeerSet::note_timeout(const NodeId& id) { penalize(id, 1); }
@@ -223,8 +233,8 @@ void PeerSet::penalize(const NodeId& id, int amount) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   it->second.score -= amount;
-  if (it->second.score > policy_.ban_score) return;
-  banned_[id] = now() + policy_.ban_seconds;
+  if (it->second.score > kBanScore) return;
+  banned_[id] = now() + kBanSeconds;
   ban_history_.insert(id);
   ++bans_;
   drop(id, DisconnectReason::kUselessPeer, /*notify_remote=*/true);

@@ -69,7 +69,7 @@ struct PeerSession {
   /// on the wire; stalled sessions are reaped so the dialer can retry).
   std::uint32_t stalled_ticks = 0;
   /// Behaviour score: useful blocks move it up, request timeouts and
-  /// garbage move it down; at PeerPolicy::ban_score the peer is dropped
+  /// garbage move it down; at the ban score (peers.cpp) the peer is dropped
   /// and temporarily banned.
   int score = 0;
   /// Sim time of the last message received from this peer (liveness).
@@ -102,20 +102,9 @@ struct PeerSession {
   std::size_t note_child(const Hash256& parent, const Hash256& child);
 };
 
-/// Knobs for peer scoring, banning, and liveness probing.
+/// Inbound slot caps (scoring, ban and liveness constants live in
+/// peers.cpp).
 struct PeerPolicy {
-  /// Session score at (or below) which a peer is dropped and banned.
-  int ban_score = -5;
-  /// Score ceiling so long-lived good peers can't bank unlimited credit.
-  int max_score = 8;
-  /// How long a banned peer stays un-dialable (sim seconds).
-  double ban_seconds = 180.0;
-  /// Active peer silent for this long -> send a keepalive ping.
-  double ping_after = 30.0;
-  /// Still silent this long after the ping -> drop as unresponsive. This
-  /// is what unsticks sessions to crashed peers (churn): the remote never
-  /// said goodbye, so only silence gives it away.
-  double drop_after = 90.0;
   /// Eclipse-resistance slot split: cap on concurrent inbound sessions, so
   /// an inbound flood can never exhaust the outbound dial headroom.
   /// 0 = unlimited (the legacy behavior).
@@ -160,7 +149,6 @@ class PeerSet {
 
   std::size_t active_count() const;
   std::size_t session_count() const noexcept { return sessions_.size(); }
-  std::size_t inbound_count() const;
   bool connected_to(const NodeId& id) const { return sessions_.contains(id); }
   bool has_capacity() const { return sessions_.size() < max_peers_; }
 
@@ -181,7 +169,7 @@ class PeerSet {
   void touch(const NodeId& id);
 
   /// Scoring: a useful delivery (+1, capped), a request timeout (-1), or
-  /// garbage on the wire (-3). Hitting PeerPolicy::ban_score drops and
+  /// garbage on the wire (-3). Hitting the ban score (-5) drops and
   /// bans the peer.
   void note_useful(const NodeId& id);
   void note_timeout(const NodeId& id);
@@ -212,8 +200,8 @@ class PeerSet {
 
   /// One maintenance pass: age non-active sessions by a tick and drop any
   /// stuck for more than `max_ticks` (lost handshakes on a lossy network);
-  /// ping active sessions silent past PeerPolicy::ping_after and drop
-  /// those silent past drop_after (crashed peers that never said goodbye);
+  /// ping active sessions silent past 30 s and drop those still silent
+  /// past 90 s (crashed peers that never said goodbye);
   /// prune expired bans. Returns the number of sessions reaped.
   std::size_t reap_stalled(std::uint32_t max_ticks);
 

@@ -110,7 +110,6 @@ class Network {
       : loop_(loop), rng_(rng), latency_(latency) {}
 
   EventLoop& loop() noexcept { return loop_; }
-  const LatencyModel& default_latency() const noexcept { return latency_; }
 
   /// The latency model governing `from -> to`: the default model, with its
   /// base (and jitter shape) swapped for the region pair's when a GeoModel
@@ -142,7 +141,6 @@ class Network {
                      PayloadPtr data);
 
   void set_fault_injector(FaultInjector* faults) noexcept { faults_ = faults; }
-  FaultInjector* fault_injector() const noexcept { return faults_; }
 
   /// Attach a region latency model. `placement` maps endpoint ids to the
   /// model's node indices (the scenario knows the id <-> index mapping).

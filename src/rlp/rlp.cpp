@@ -144,13 +144,6 @@ Bytes encode(const Item& item) {
 
 Bytes encode_bytes(BytesView payload) { return encode(Item::str(payload)); }
 
-Bytes wrap_list(BytesView encoded_payload) {
-  Bytes out;
-  encode_length(out, encoded_payload.size(), 0xc0);
-  append(out, encoded_payload);
-  return out;
-}
-
 DecodeResult decode(BytesView input) {
   BytesView cursor = input;
   DecodeResult result = decode_one(cursor, 0);

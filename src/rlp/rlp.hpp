@@ -59,9 +59,6 @@ Bytes encode(const Item& item);
 /// Encode a raw byte string directly (no Item allocation).
 Bytes encode_bytes(BytesView payload);
 
-/// Encode an already-encoded sequence of items as a list.
-Bytes wrap_list(BytesView encoded_payload);
-
 enum class DecodeError {
   kTruncated,        // input shorter than the declared length
   kTrailingBytes,    // extra bytes after the top-level item

@@ -9,10 +9,30 @@ namespace forksim::sim {
 
 using namespace p2p;
 
+namespace {
+
+/// Forger: how many blocks below the host's head the forged block's parent
+/// sits, and previously-forged blocks re-pushed per round (a hardened
+/// victim absorbs these from its known-invalid cache at zero cost).
+constexpr core::BlockNumber kForgeDepth = 0;
+constexpr std::size_t kForgeRepush = 2;
+/// Spammer: distinct junk sender keys.
+constexpr std::size_t kSpamAccounts = 8;
+/// Equivocator: conflicting siblings announced per round.
+constexpr std::size_t kEquivocationFanout = 6;
+/// Withholder: phantom hashes announced per round.
+constexpr std::size_t kWithholdBatch = 4;
+/// Eclipse swarm: attack rounds between engagement resets — the swarm
+/// re-floods Status at its targets this often, re-establishing any session
+/// the victim reaped.
+constexpr std::uint64_t kReengageRounds = 8;
+
+}  // namespace
+
 Adversary::Adversary(FullNode& host, AdversaryOptions options, Rng rng)
     : host_(host), options_(options), rng_(rng) {
-  spam_keys_.reserve(options_.spam_accounts);
-  for (std::size_t i = 0; i < options_.spam_accounts; ++i)
+  spam_keys_.reserve(kSpamAccounts);
+  for (std::size_t i = 0; i < kSpamAccounts; ++i)
     spam_keys_.push_back(PrivateKey::from_seed(rng_.next()));
   spam_nonces_.assign(spam_keys_.size(), 0);
 }
@@ -75,8 +95,7 @@ core::Block Adversary::forge_block() {
   const auto& chain = host_.chain();
   const core::BlockNumber head_height = chain.height();
   const core::BlockNumber parent_height =
-      head_height > options_.forge_depth ? head_height - options_.forge_depth
-                                         : 0;
+      head_height > kForgeDepth ? head_height - kForgeDepth : 0;
   const core::Block* parent = chain.block_by_number(parent_height);
   const auto& config = chain.config();
   ++forge_seq_;
@@ -135,7 +154,7 @@ void Adversary::run_forger() {
   if (forged_.size() > 8) forged_.erase(forged_.begin());
   // re-push earlier forgeries: a hardened victim absorbs them from its
   // known-invalid cache; an un-hardened one re-validates every time
-  for (std::size_t i = 0; i < options_.forge_repush; ++i) {
+  for (std::size_t i = 0; i < kForgeRepush; ++i) {
     const core::Block& old = forged_[repush_cursor_++ % forged_.size()];
     const U256 old_td =
         host_.chain().total_difficulty_of(old.header.parent_hash) +
@@ -148,7 +167,7 @@ void Adversary::run_withholder() {
   const std::vector<NodeId> t = targets();
   if (t.empty()) return;
   NewBlockHashes ann;
-  for (std::size_t i = 0; i < options_.withhold_batch; ++i) {
+  for (std::size_t i = 0; i < kWithholdBatch; ++i) {
     Keccak256 k;
     k.update(std::string_view("forksim/phantom"));
     k.update(host_.id().view());
@@ -203,7 +222,7 @@ void Adversary::run_equivocator() {
   // difficulty tie never takes over a head — equivocation splits views
   // without requiring any real hashpower.
   const U256 td = chain.total_difficulty_of(head.hash());
-  for (std::size_t k = 0; k < options_.equivocation_fanout; ++k) {
+  for (std::size_t k = 0; k < kEquivocationFanout; ++k) {
     core::Block clone = head;
     clone.header.nonce = rng_.next();
     ++counters_.equivocations;
@@ -366,8 +385,7 @@ void EclipseAdversary::tick() {
   // Periodically forget who we already handshook so reaped sessions get
   // re-established; without this one unlucky loss would free a victim slot
   // for an honest peer permanently.
-  if (options_.reengage_rounds != 0 &&
-      counters_.rounds % options_.reengage_rounds == 0)
+  if (counters_.rounds % kReengageRounds == 0)
     for (auto& set : engaged_) set.clear();
 
   const NodeId& victim = options_.victim;

@@ -61,20 +61,10 @@ struct AdversaryOptions {
   AdversaryKind kind = AdversaryKind::kInvalidForger;
   /// Sim seconds between attack rounds.
   double interval = 10.0;
-  /// Forger: defect and how many blocks below the host's head the forged
-  /// block's parent sits.
+  /// Forger: what is wrong with the forged block.
   ForgeDefect defect = ForgeDefect::kBadStateRoot;
-  core::BlockNumber forge_depth = 0;
-  /// Forger: previously-forged blocks re-pushed per round (a hardened
-  /// victim absorbs these from its known-invalid cache at zero cost).
-  std::size_t forge_repush = 2;
-  /// Spammer: transactions per round and distinct junk sender keys.
+  /// Spammer: transactions per round.
   std::size_t spam_batch = 48;
-  std::size_t spam_accounts = 8;
-  /// Equivocator: conflicting siblings announced per round.
-  std::size_t equivocation_fanout = 6;
-  /// Withholder: phantom hashes announced per round.
-  std::size_t withhold_batch = 4;
 };
 
 struct AdversaryCounters {
@@ -147,9 +137,6 @@ struct EclipseOptions {
   std::size_t sybil_budget = 32;
   /// Sim seconds between attack rounds.
   double interval = 2.0;
-  /// Attack rounds between engagement resets: the swarm re-floods Status
-  /// at targets this often, re-establishing any session the victim reaped.
-  std::uint64_t reengage_rounds = 8;
 };
 
 struct EclipseCounters {
@@ -238,8 +225,8 @@ class EclipseAdversary {
   /// Per-sybil set of peers this sybil already pushed (or answered) a
   /// Status to. Gates the handshake flood — and, critically, stops a sybil
   /// from answering Status with Status forever (the re-handshake path on
-  /// an active session would echo indefinitely). Cleared every
-  /// `reengage_rounds` so reaped sessions get re-established.
+  /// an active session would echo indefinitely). Cleared every few
+  /// rounds (adversary.cpp) so reaped sessions get re-established.
   std::vector<std::unordered_set<p2p::NodeId, p2p::NodeIdHasher>> engaged_;
 };
 

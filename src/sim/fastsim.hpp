@@ -48,9 +48,6 @@ class ChainProcess {
   void set_pool_weights(std::vector<double> weights) {
     pool_weights_ = std::move(weights);
   }
-  const std::vector<double>& pool_weights() const noexcept {
-    return pool_weights_;
-  }
 
   const U256& difficulty() const noexcept { return difficulty_; }
   double time() const noexcept { return time_; }

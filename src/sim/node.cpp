@@ -9,15 +9,55 @@ using namespace p2p;
 
 namespace {
 
+/// Keep dialing until this many active sessions.
+constexpr std::size_t kTargetPeers = 8;
+/// Blocks asked for per GetBlocks.
+constexpr std::uint32_t kSyncBatch = 32;
+/// Resilient sync: a GetBlocks whose reply hasn't arrived after
+/// `kSyncTimeout * kSyncBackoff^attempt` seconds is re-sent, preferring a
+/// different active peer, up to `kSyncMaxRetries` times. Without this a
+/// single lost reply stalls sync until some unrelated event restarts it.
+constexpr double kSyncTimeout = 8.0;
+constexpr double kSyncBackoff = 1.6;
+constexpr std::uint32_t kSyncMaxRetries = 5;
+/// Fork monitor: distinct disputed blocks tracked from one competing
+/// branch before the node raises a `divergence` event (persistent
+/// peer-head disagreement, not a transient race).
+constexpr std::size_t kDivergenceThreshold = 3;
+/// Modeled cost of a cold restart: sim-seconds per block replayed from the
+/// attached store (log scan + re-execution latency stand-in). The node
+/// rejoins the network only after this much recovery time.
+constexpr double kRecoverySecondsPerBlock = 0.002;
+
+/// Hardening: refill rates of the per-peer token buckets for block-bearing
+/// ingress and for transaction gossip (the bursts are HardeningOptions).
+constexpr double kBlocksPerSec = 8.0;
+constexpr double kTxsPerSec = 64.0;
+/// A single Transactions message containing at least this many hard
+/// rejects (bad signature / wrong chain / underpriced) is a spam batch:
+/// honest gossip races produce duplicates, never piles of invalid txs.
+constexpr std::size_t kTxJunkThreshold = 16;
+/// Distinct children of one parent announced by one session before we
+/// call it equivocation. Honest relays forward at most the (one or two)
+/// children that actually took the head.
+constexpr std::size_t kEquivocationThreshold = 3;
+
+/// Eclipse defense: long-lived active peers persisted through the attached
+/// store and redialed after a cold restart…
+constexpr std::size_t kAnchorCount = 2;
+/// …and the isolation detector: head stale for `stale_after` AND the
+/// active peer set at least this homogeneous (largest single-group share)
+/// with at least this many active peers -> one-shot eclipse suspicion.
+constexpr double kHomogeneityThreshold = 0.75;
+constexpr std::size_t kMinPeersForDetection = 2;
+
 /// The eclipse defense owns the inbound slot split; fold it into the peer
-/// policy before the PeerSet is constructed. Explicit PeerPolicy caps win
-/// over the eclipse defaults.
+/// policy before the PeerSet is constructed.
 PeerPolicy effective_peer_policy(const NodeOptions& options) {
-  PeerPolicy policy = options.peer_policy;
+  PeerPolicy policy;
   if (options.eclipse.enabled) {
-    if (policy.max_inbound == 0) policy.max_inbound = options.eclipse.max_inbound;
-    if (policy.inbound_group_cap == 0)
-      policy.inbound_group_cap = options.eclipse.inbound_group_cap;
+    policy.max_inbound = options.eclipse.max_inbound;
+    policy.inbound_group_cap = options.eclipse.inbound_group_cap;
   }
   return policy;
 }
@@ -61,7 +101,7 @@ FullNode::FullNode(Network& network, NodeId id, core::ChainConfig config,
              },
              effective_peer_policy(options)) {
   discovery_.set_on_discovered([this](const NodeId& candidate) {
-    if (running_ && peers_.active_count() < options_.target_peers) {
+    if (running_ && peers_.active_count() < kTargetPeers) {
       if (dial_over_group_cap(candidate)) return;
       peers_.connect(candidate);
     }
@@ -202,7 +242,7 @@ RecoveryOutcome FullNode::cold_restart(
       }
     }
   }
-  out.resume_delay = options_.recovery_seconds_per_block *
+  out.resume_delay = kRecoverySecondsPerBlock *
                      static_cast<double>(out.blocks_replayed);
 
   counters_.recovery_scanned += out.store.records_scanned;
@@ -278,9 +318,9 @@ void FullNode::tick() {
     discovery_.bootstrap(bootstrap_);
   if (options_.eclipse.enabled) eclipse_tick();
   // top up peer sessions from the routing table
-  if (peers_.active_count() < options_.target_peers) {
+  if (peers_.active_count() < kTargetPeers) {
     for (const NodeId& candidate :
-         discovery_.table().closest(id_, options_.target_peers * 2)) {
+         discovery_.table().closest(id_, kTargetPeers * 2)) {
       if (peers_.connected_to(candidate)) continue;
       if (dial_over_group_cap(candidate)) continue;
       if (peers_.connect(candidate)) ++counters_.dial_attempts;
@@ -345,9 +385,9 @@ void FullNode::check_isolation() {
   const auto& e = options_.eclipse;
   if (eclipse_suspected_ || !region_fn_) return;
   if (network_.loop().now() - last_head_change_time_ < e.stale_after) return;
-  if (peers_.active_count() < e.min_peers_for_detection) return;
+  if (peers_.active_count() < kMinPeersForDetection) return;
   const double homogeneity = peer_homogeneity();
-  if (homogeneity + 1e-9 < e.homogeneity_threshold) return;
+  if (homogeneity + 1e-9 < kHomogeneityThreshold) return;
   // Stale head + a near-monoculture peer set: everything we hear comes
   // from one place, which honest topology never produces. One-shot until
   // the head moves again.
@@ -379,8 +419,6 @@ void FullNode::recover_from_eclipse() {
 }
 
 void FullNode::update_anchors() {
-  const auto& e = options_.eclipse;
-  if (e.anchor_count == 0) return;
   // anchors = the longest-lived currently-active peers, oldest first
   std::vector<std::pair<double, NodeId>> aged;
   for (const NodeId& peer : peers_.active_peers()) {
@@ -388,7 +426,7 @@ void FullNode::update_anchors() {
     if (it != peer_first_seen_.end()) aged.emplace_back(it->second, peer);
   }
   std::sort(aged.begin(), aged.end());
-  if (aged.size() > e.anchor_count) aged.resize(e.anchor_count);
+  if (aged.size() > kAnchorCount) aged.resize(kAnchorCount);
   std::vector<NodeId> next;
   next.reserve(aged.size());
   for (const auto& [_, peer] : aged) next.push_back(peer);
@@ -452,8 +490,7 @@ void FullNode::on_peer_active(const NodeId& peer, const Status& status) {
     peer_first_seen_.try_emplace(peer, network_.loop().now());
   // start syncing if the peer's chain is heavier
   if (status.total_difficulty > chain_.head_total_difficulty())
-    request_blocks(peer, status.head_hash,
-                   static_cast<std::uint32_t>(options_.sync_batch));
+    request_blocks(peer, status.head_hash, kSyncBatch);
 }
 
 void FullNode::init_session_buckets(const NodeId& peer) {
@@ -462,9 +499,8 @@ void FullNode::init_session_buckets(const NodeId& peer) {
   if (s == nullptr) return;
   const auto& h = options_.hardening;
   const SimTime t = network_.loop().now();
-  s->block_bucket = TokenBucket{h.blocks_per_sec, h.block_burst,
-                                h.block_burst, t};
-  s->tx_bucket = TokenBucket{h.txs_per_sec, h.tx_burst, h.tx_burst, t};
+  s->block_bucket = TokenBucket{kBlocksPerSec, h.block_burst, h.block_burst, t};
+  s->tx_bucket = TokenBucket{kTxsPerSec, h.tx_burst, h.tx_burst, t};
 }
 
 bool FullNode::known_invalid(const Hash256& hash) {
@@ -517,7 +553,7 @@ void FullNode::note_disputed(const core::BlockHeader& header,
   // once. The node keeps following the branch header-only — no execution,
   // no blame — until a consensus patch resolves which rules were right.
   if (!disputed_.divergence_raised &&
-      disputed_.count >= options_.divergence_threshold) {
+      disputed_.count >= kDivergenceThreshold) {
     disputed_.divergence_raised = true;
     ++counters_.divergence_events;
     trace("fork_monitor", "divergence",
@@ -545,7 +581,7 @@ void FullNode::apply_consensus_patch() {
   // if the branch outgrew what we tracked.
   const std::uint64_t span = range.max_number - range.min_number + 1;
   const std::uint32_t want = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(span + options_.sync_batch, 256));
+      std::min<std::uint64_t>(span + kSyncBatch, 256));
   request_blocks(active[rng_.uniform(active.size())], range.tip, want);
 }
 
@@ -570,7 +606,7 @@ void FullNode::request_blocks(const NodeId& peer, const Hash256& head,
   req.max_blocks = count;
   req.token = ++next_fetch_token_;
   send(peer, Message{GetBlocks{head, req.max_blocks}});
-  arm_fetch_timer(head, req.token, options_.sync_timeout);
+  arm_fetch_timer(head, req.token, kSyncTimeout);
 }
 
 void FullNode::arm_fetch_timer(const Hash256& head, std::uint64_t token,
@@ -592,7 +628,7 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
   trace("sync", "timeout");
   PendingFetch& req = it->second;
   peers_.note_timeout(req.peer);
-  if (req.attempt >= options_.sync_max_retries) {
+  if (req.attempt >= kSyncMaxRetries) {
     ++counters_.sync_gave_up;
     trace("sync", "gave_up");
     pending_fetch_.erase(it);
@@ -640,8 +676,7 @@ void FullNode::on_fetch_timeout(const Hash256& head, std::uint64_t token) {
   req.token = ++next_fetch_token_;
   send(req.peer, Message{GetBlocks{head, req.max_blocks}});
   arm_fetch_timer(head, req.token,
-                  options_.sync_timeout *
-                      std::pow(options_.sync_backoff, req.attempt));
+                  kSyncTimeout * std::pow(kSyncBackoff, req.attempt));
 }
 
 void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
@@ -666,7 +701,7 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
           }
           if (hardened() && session != nullptr &&
               session->note_child(m.block.header.parent_hash, hash) >=
-                  options_.hardening.equivocation_threshold) {
+                  kEquivocationThreshold) {
             ++counters_.equivocations;
             peers_.note_garbage(from);
             return;
@@ -709,22 +744,24 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
           bool useful = false;
           bool garbage = false;
           Hash256 deepest_missing;
+          // each block is hashed once; the scan and the import loop share it
+          std::vector<Hash256> hashes;
+          hashes.reserve(m.blocks.size());
+          for (const core::Block& b : m.blocks) hashes.push_back(b.hash());
           // a reply that matches one of our in-flight fetches is solicited:
           // its orphans are sync state, not flood fodder
-          bool solicited = false;
-          for (const core::Block& b : m.blocks)
-            if (pending_fetch_.contains(b.hash())) {
-              solicited = true;
-              break;
-            }
+          const bool solicited = std::any_of(
+              hashes.begin(), hashes.end(),
+              [&](const Hash256& h) { return pending_fetch_.contains(h); });
           // replies we asked for are exempt from the rate limit — deep sync
           // legitimately delivers large batches in bursts
           if (!solicited &&
               rate_limited(session, &PeerSession::block_bucket,
                            static_cast<double>(m.blocks.size()), from))
             return;
-          for (const core::Block& b : m.blocks) {
-            const Hash256 hash = b.hash();
+          for (std::size_t i = 0; i < m.blocks.size(); ++i) {
+            const core::Block& b = m.blocks[i];
+            const Hash256& hash = hashes[i];
             if (session) session->mark_known(hash);
             pending_fetch_.erase(hash);
             if (disputed_hashes_.contains(hash)) continue;  // header-followed
@@ -763,8 +800,7 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
           if (garbage) peers_.note_garbage(from);
           if (still_orphaned && !chain_.contains(deepest_missing)) {
             // deepen the sync window
-            request_blocks(from, deepest_missing,
-                           static_cast<std::uint32_t>(options_.sync_batch));
+            request_blocks(from, deepest_missing, kSyncBatch);
           }
         } else if constexpr (std::is_same_v<T, Transactions>) {
           if (rate_limited(session, &PeerSession::tx_bucket,
@@ -795,7 +831,7 @@ void FullNode::handle_eth(const NodeId& from, const Payload& payload) {
                 result == core::PoolAddResult::kUnderpriced)
               ++junk;
           }
-          if (hardened() && junk >= options_.hardening.tx_junk_threshold)
+          if (hardened() && junk >= kTxJunkThreshold)
             peers_.note_garbage(from);  // a spam batch, not a gossip race
           if (!fresh.transactions.empty())
             relay_transactions(std::move(fresh), fresh_hashes, from);
@@ -819,8 +855,7 @@ void FullNode::import_and_relay(const NodeId& from, const core::Block& block,
       break;
     case core::ImportResult::kUnknownParent:
       add_orphan(block, hash, /*solicited=*/false);
-      request_blocks(from, block.header.parent_hash,
-                     static_cast<std::uint32_t>(options_.sync_batch));
+      request_blocks(from, block.header.parent_hash, kSyncBatch);
       break;
     case core::ImportResult::kWrongFork:
       // a peer pushing the other side's fork block is on the other network
@@ -864,9 +899,9 @@ void FullNode::update_orphan_gauge() {
 void FullNode::add_orphan(const core::Block& block, const Hash256& hash,
                           bool solicited) {
   auto& bucket = orphans_[block.header.parent_hash];
-  for (const core::Block& b : bucket)
-    if (b.hash() == hash) return;  // duplicate orphan
-  bucket.push_back(block);
+  for (const Orphan& o : bucket)
+    if (o.hash == hash) return;  // duplicate orphan
+  bucket.push_back(Orphan{block, hash});
   orphan_order_.push_back(
       OrphanRef{block.header.parent_hash, hash, solicited});
   while (orphan_order_.size() > options_.max_orphans) {
@@ -883,7 +918,7 @@ void FullNode::add_orphan(const core::Block& block, const Hash256& hash,
     auto it = orphans_.find(victim.parent);
     if (it == orphans_.end()) continue;  // bucket already imported/evicted
     std::erase_if(it->second,
-                  [&](const core::Block& b) { return b.hash() == victim.hash; });
+                  [&](const Orphan& o) { return o.hash == victim.hash; });
     if (it->second.empty()) orphans_.erase(it);
   }
   update_orphan_gauge();
@@ -899,12 +934,11 @@ void FullNode::try_orphans() {
         continue;
       }
       const Hash256 parent = it->first;
-      const std::vector<core::Block> children = std::move(it->second);
+      const std::vector<Orphan> children = std::move(it->second);
       it = orphans_.erase(it);
       std::erase_if(orphan_order_,
                     [&](const OrphanRef& r) { return r.parent == parent; });
-      for (const core::Block& block : children) {
-        const Hash256 hash = block.hash();
+      for (const auto& [block, hash] : children) {
         const auto outcome = import_block(block, hash);
         if (outcome.result != core::ImportResult::kImported) continue;
         relay_block(block, hash, outcome.became_head);

@@ -26,21 +26,12 @@ namespace forksim::sim {
 /// fingerprints bit-identical. Adversarial scenarios switch it on.
 struct HardeningOptions {
   bool enabled = false;
-  /// Per-peer token buckets for block-bearing ingress (NewBlock pushes,
-  /// unsolicited Blocks batches, NewBlockHashes announcements)…
-  double blocks_per_sec = 8.0;
+  /// Burst sizes of the per-peer token buckets for block-bearing ingress
+  /// (NewBlock pushes, unsolicited Blocks batches, NewBlockHashes
+  /// announcements)…
   double block_burst = 192.0;
   /// …and for transaction gossip (tokens are charged per transaction).
-  double txs_per_sec = 64.0;
   double tx_burst = 1024.0;
-  /// A single Transactions message containing at least this many hard
-  /// rejects (bad signature / wrong chain / underpriced) is a spam batch:
-  /// honest gossip races produce duplicates, never piles of invalid txs.
-  std::size_t tx_junk_threshold = 16;
-  /// Distinct children of one parent announced by one session before we
-  /// call it equivocation. Honest relays forward at most the (one or two)
-  /// children that actually took the head.
-  std::size_t equivocation_threshold = 3;
 };
 
 /// Eclipse-resistance knobs: discovery diversity caps, an inbound/outbound
@@ -70,35 +61,17 @@ struct EclipseDefenseOptions {
   std::uint32_t pending_ticks = 2;
   /// Per-tick probability of one feeler ping validating a table entry.
   double feeler_chance = 0.25;
-  /// Long-lived active peers persisted through the attached store and
-  /// redialed after a cold restart (0 disables anchors).
-  std::size_t anchor_count = 2;
-  /// Isolation detector: head stale for this long AND the active peer set
-  /// at least this homogeneous (largest single-group share) with at least
-  /// `min_peers_for_detection` active peers -> one-shot eclipse suspicion,
-  /// drop every session, flush the table, re-bootstrap from seeds+anchors.
+  /// Isolation detector: head stale for this long AND a near-monoculture
+  /// active peer set (node.cpp) -> one-shot eclipse suspicion, drop every
+  /// session, flush the table, re-bootstrap from seeds+anchors.
   double stale_after = 90.0;
-  double homogeneity_threshold = 0.75;
-  std::size_t min_peers_for_detection = 2;
 };
 
 struct NodeOptions {
   std::size_t max_peers = 25;
-  /// Keep dialing until this many active sessions.
-  std::size_t target_peers = 8;
   p2p::GossipPolicy gossip;
   /// Seconds between maintenance ticks (dial candidates, refresh buckets).
   double tick_interval = 5.0;
-  std::size_t sync_batch = 32;
-  /// Resilient sync: a GetBlocks whose reply hasn't arrived after
-  /// `sync_timeout * sync_backoff^attempt` seconds is re-sent, preferring a
-  /// different active peer, up to `sync_max_retries` times. Without this a
-  /// single lost reply stalls sync until some unrelated event restarts it.
-  double sync_timeout = 8.0;
-  double sync_backoff = 1.6;
-  std::uint32_t sync_max_retries = 5;
-  /// Peer scoring / banning / liveness knobs.
-  p2p::PeerPolicy peer_policy;
   /// Bound on blocks parked while their ancestors are fetched; beyond it
   /// orphans are evicted — unsolicited ones (gossip pushes) first, so an
   /// orphan flood cannot evict a deep sync's legitimately buffered chain.
@@ -118,14 +91,6 @@ struct NodeOptions {
   HardeningOptions hardening;
   /// Eclipse-resistance layer (off by default; see EclipseDefenseOptions).
   EclipseDefenseOptions eclipse;
-  /// Fork monitor: distinct disputed blocks tracked from one competing
-  /// branch before the node raises a `divergence` event (persistent
-  /// peer-head disagreement, not a transient race).
-  std::size_t divergence_threshold = 3;
-  /// Modeled cost of a cold restart: sim-seconds per block replayed from
-  /// the attached store (log scan + re-execution latency stand-in). The
-  /// node rejoins the network only after this much recovery time.
-  double recovery_seconds_per_block = 0.002;
 };
 
 /// What one cold restart recovered and what it cost.
@@ -383,9 +348,13 @@ class FullNode {
 
   /// Orphans waiting for ancestors, keyed by parent hash; a parent can
   /// have several orphaned children (sibling forks), and the whole buffer
-  /// is bounded by NodeOptions::max_orphans with FIFO eviction.
-  std::unordered_map<Hash256, std::vector<core::Block>, Hash256Hasher>
-      orphans_;
+  /// is bounded by NodeOptions::max_orphans with FIFO eviction. Each is
+  /// parked with the hash its caller already computed.
+  struct Orphan {
+    core::Block block;
+    Hash256 hash;
+  };
+  std::unordered_map<Hash256, std::vector<Orphan>, Hash256Hasher> orphans_;
   /// Insertion order for eviction; solicited = arrived in a reply to one
   /// of our own GetBlocks (sync state, evicted only as a last resort).
   struct OrphanRef {

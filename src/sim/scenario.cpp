@@ -23,7 +23,7 @@ ForkScenario::ForkScenario(ScenarioParams params)
     : params_(params),
       rng_(params.seed),
       network_(loop_, Rng(params.seed ^ 0x9e3779b97f4a7c15ull),
-               params.latency) {
+               p2p::LatencyModel::wan()) {
   // pre-fork accounts, funded in genesis on every node
   core::GenesisAlloc alloc;
   for (std::size_t i = 0; i < params_.funded_accounts; ++i) {

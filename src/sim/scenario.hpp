@@ -35,7 +35,6 @@ struct ScenarioParams {
   core::BlockNumber fork_block = 30;
   U256 genesis_difficulty = U256(500'000);
   std::size_t funded_accounts = 32;
-  p2p::LatencyModel latency = p2p::LatencyModel::wan();
   /// Explicit gossip topology (p2p/topology.hpp). Disabled (the default)
   /// keeps the historical wiring: everyone dials node 0 plus one random
   /// earlier node and the mesh emerges from discovery. Enabled, each
@@ -45,7 +44,7 @@ struct ScenarioParams {
   p2p::TopologyParams topology;
   /// Region-based latency (p2p/geo.hpp). Disabled by default; enabled,
   /// every link's base delay comes from the seeded region placement's
-  /// RTT-class pair instead of the uniform `latency` model.
+  /// RTT-class pair instead of the uniform WAN model.
   p2p::GeoParams geo;
   /// Client-diversity + consensus-bug layer (sim/clients.hpp). Disabled by
   /// default; enabled, each node draws a client family from the seeded mix

@@ -81,7 +81,6 @@ class FixedBytes {
   BytesView view() const noexcept { return BytesView(data_.data(), N); }
   Bytes to_bytes() const { return Bytes(data_.begin(), data_.end()); }
   std::string hex() const { return to_hex(view()); }
-  std::string hex_prefixed() const { return to_hex_prefixed(view()); }
 
   bool is_zero() const noexcept {
     for (auto b : data_)

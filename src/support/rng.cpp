@@ -46,10 +46,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
   }
 }
 
-std::uint64_t Rng::uniform_range(std::uint64_t lo, std::uint64_t hi) noexcept {
-  return lo + uniform(hi - lo + 1);
-}
-
 double Rng::uniform01() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }

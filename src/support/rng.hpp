@@ -20,9 +20,6 @@ class Rng {
   /// Uniform in [0, bound). bound == 0 returns 0.
   std::uint64_t uniform(std::uint64_t bound) noexcept;
 
-  /// Uniform in [lo, hi] inclusive; requires lo <= hi.
-  std::uint64_t uniform_range(std::uint64_t lo, std::uint64_t hi) noexcept;
-
   /// Uniform real in [0, 1).
   double uniform01() noexcept;
 

@@ -34,8 +34,6 @@ class TimeSeries {
 
   void record(SimTime t, double value = 1.0);
 
-  double bucket_width() const noexcept { return width_; }
-
   /// Buckets in index order; empty buckets between the first and last
   /// recorded index are materialized with count 0 so plots have no gaps.
   std::vector<Bucket> buckets() const;

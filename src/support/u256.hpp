@@ -60,11 +60,6 @@ class U256 {
   }
   constexpr std::uint64_t as_u64() const noexcept { return limbs_[0]; }
 
-  /// Saturating conversion to u64.
-  constexpr std::uint64_t saturate_u64() const noexcept {
-    return fits_u64() ? limbs_[0] : ~0ull;
-  }
-
   /// Lossy conversion to double (for analysis/plotting only).
   double to_double() const noexcept;
 

@@ -16,8 +16,6 @@ TrieCounters g_counters;
 
 const TrieCounters& counters() noexcept { return g_counters; }
 
-void reset_counters() noexcept { g_counters = TrieCounters{}; }
-
 void attach_telemetry(obs::Registry& reg) {
   // Report deltas from the attach point: the globals span the whole
   // process, but a registry should only see its own run's work (two
@@ -486,134 +484,6 @@ Hash256 Trie::root_hash() const {
     root_->hash_valid = true;
   }
   return root_->hash_cache;
-}
-
-// ---------------------------------------------------------------------------
-// Proofs
-
-std::vector<Bytes> Trie::prove(BytesView key) const {
-  std::vector<Bytes> proof;
-  const Nibbles nk = to_nibbles(key);
-  const Node* node = root_.get();
-  std::size_t depth = 0;
-  bool at_hashed_boundary = true;  // root is always included
-  while (node != nullptr) {
-    const Bytes& encoded = node_encoding(*node);
-    if (at_hashed_boundary) proof.push_back(encoded);
-    at_hashed_boundary = encoded.size() >= 32;
-    // embedded (short) nodes ride inside their parent's encoding; only
-    // nodes referenced by hash appear as separate proof elements — but the
-    // *next* hashed node must be appended, so track the boundary flag.
-    switch (node->kind) {
-      case Node::Kind::kLeaf:
-        return proof;
-      case Node::Kind::kExtension: {
-        if (nk.size() - depth < node->path.size() ||
-            !std::equal(node->path.begin(), node->path.end(),
-                        nk.begin() + static_cast<std::ptrdiff_t>(depth)))
-          return proof;
-        depth += node->path.size();
-        node = node->child.get();
-        break;
-      }
-      case Node::Kind::kBranch: {
-        if (depth == nk.size()) return proof;
-        node = node->children[nk[depth]].get();
-        ++depth;
-        break;
-      }
-    }
-  }
-  return proof;
-}
-
-std::optional<Bytes> Trie::verify_proof(const Hash256& root, BytesView key,
-                                        const std::vector<Bytes>& proof) {
-  if (proof.empty()) return std::nullopt;
-
-  // index proof elements by their hash
-  std::vector<std::pair<Hash256, const Bytes*>> by_hash;
-  by_hash.reserve(proof.size());
-  for (const Bytes& p : proof) by_hash.emplace_back(keccak256(p), &p);
-
-  auto lookup = [&](const Hash256& h) -> const Bytes* {
-    for (const auto& [hash, ptr] : by_hash)
-      if (hash == h) return ptr;
-    return nullptr;
-  };
-
-  const Nibbles nk = to_nibbles(key);
-  std::size_t depth = 0;
-
-  const Bytes* root_bytes = lookup(root);
-  if (root_bytes == nullptr) return std::nullopt;
-  auto decoded = rlp::decode(*root_bytes);
-  if (!decoded.ok()) return std::nullopt;
-  rlp::Item current = std::move(*decoded.item);
-
-  for (;;) {
-    if (!current.is_list()) return std::nullopt;
-    const auto& fields = current.items();
-
-    if (fields.size() == 2) {  // leaf or extension
-      if (!fields[0].is_bytes()) return std::nullopt;
-      auto hp = decode_hex_prefix(fields[0].bytes());
-      if (!hp) return std::nullopt;
-      const auto& [path, is_leaf] = *hp;
-      if (is_leaf) {
-        if (nk.size() - depth != path.size() ||
-            !std::equal(path.begin(), path.end(),
-                        nk.begin() + static_cast<std::ptrdiff_t>(depth)))
-          return std::nullopt;
-        if (!fields[1].is_bytes()) return std::nullopt;
-        return fields[1].bytes();
-      }
-      if (nk.size() - depth < path.size() ||
-          !std::equal(path.begin(), path.end(),
-                      nk.begin() + static_cast<std::ptrdiff_t>(depth)))
-        return std::nullopt;
-      depth += path.size();
-      // resolve the child reference
-      const rlp::Item& ref = fields[1];
-      if (ref.is_list()) {
-        rlp::Item embedded = ref;  // copy before overwriting `current`
-        current = std::move(embedded);
-        continue;
-      }
-      if (ref.bytes().size() != 32) return std::nullopt;
-      const Bytes* next = lookup(Hash256::left_padded(ref.bytes()));
-      if (next == nullptr) return std::nullopt;
-      auto dec = rlp::decode(*next);
-      if (!dec.ok()) return std::nullopt;
-      current = std::move(*dec.item);
-      continue;
-    }
-
-    if (fields.size() == 17) {  // branch
-      if (depth == nk.size()) {
-        if (!fields[16].is_bytes() || fields[16].bytes().empty())
-          return std::nullopt;
-        return fields[16].bytes();
-      }
-      const rlp::Item& ref = fields[nk[depth]];
-      ++depth;
-      if (ref.is_list()) {
-        rlp::Item embedded = ref;  // copy before overwriting `current`
-        current = std::move(embedded);
-        continue;
-      }
-      if (ref.bytes().empty()) return std::nullopt;  // absent child
-      if (ref.bytes().size() != 32) return std::nullopt;
-      const Bytes* next = lookup(Hash256::left_padded(ref.bytes()));
-      if (next == nullptr) return std::nullopt;
-      auto dec = rlp::decode(*next);
-      if (!dec.ok()) return std::nullopt;
-      current = std::move(*dec.item);
-      continue;
-    }
-
-    return std::nullopt;
-  }
 }
 
 // ---------------------------------------------------------------------------

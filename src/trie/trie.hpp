@@ -4,7 +4,7 @@
 // Implements the full node model (leaf / extension / branch), hex-prefix
 // path encoding, spec-compliant structural hashing (nodes whose RLP encoding
 // is shorter than 32 bytes are embedded in their parent rather than hashed),
-// insertion, lookup, deletion with path collapsing, and Merkle proofs.
+// insertion, lookup, and deletion with path collapsing.
 //
 // Every node memoizes its RLP encoding and keccak reference; mutations
 // invalidate the caches only along the root-to-leaf path they touch, so a
@@ -36,7 +36,6 @@ struct TrieCounters {
 };
 
 const TrieCounters& counters() noexcept;
-void reset_counters() noexcept;
 
 /// Register a snapshot-time collector on `reg` that mirrors counters()
 /// into trie.* counters.
@@ -80,16 +79,6 @@ class Trie {
   /// Memoized: a second call with no intervening mutation re-hashes
   /// nothing, and after k mutations only the touched paths are re-encoded.
   Hash256 root_hash() const;
-
-  /// Merkle proof: the RLP encodings of every node on the path from the root
-  /// to `key` (inclusive). Empty when the trie is empty.
-  std::vector<Bytes> prove(BytesView key) const;
-
-  /// Verify a proof produced by prove() against a root hash. Returns the
-  /// value if the proof shows `key` present; nullopt if the proof is invalid
-  /// or shows absence.
-  static std::optional<Bytes> verify_proof(const Hash256& root, BytesView key,
-                                           const std::vector<Bytes>& proof);
 
   /// All key/value pairs in lexicographic key order (test/debug helper).
   std::vector<std::pair<Bytes, Bytes>> entries() const;

@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "crypto/keccak.hpp"
 #include "evm/executor.hpp"
 #include "obs/metrics.hpp"
 #include "sim/adversary.hpp"
@@ -527,9 +528,12 @@ TEST(AdversaryBaselineTest, BlockBucketRefusesOversizedAnnouncements) {
   AdversaryOptions opt;
   opt.kind = AdversaryKind::kWithholder;
   opt.interval = 5.0;
-  ASSERT_GT(static_cast<double>(opt.withhold_batch), hardening.block_burst);
   Adversary adv(*pair.host, opt, Rng(9));
   adv.start();
+  // one round's batch alone is larger than the whole burst
+  pair.loop.run_until(pair.loop.now() + opt.interval);
+  ASSERT_GT(static_cast<double>(adv.counters().phantom_announcements),
+            hardening.block_burst);
   pair.loop.run_until(120.0);
   adv.stop();
 
@@ -579,6 +583,42 @@ TEST(AdversaryBaselineTest, UnsolicitedBatchSortsBlocksByStage) {
   EXPECT_EQ(v.rate_limited, 0u);
   EXPECT_EQ(pair.victim->chain().head_hash(), valid.hash());
   EXPECT_TRUE(pair.attacker_banned());
+}
+
+// An unsolicited batch of orphans is hashed once per block by the node:
+// the solicited scan, the import loop and the orphan buffer share that
+// hash, so parking siblings under one missing parent re-hashes none of
+// them. The only other Keccak work is the chain's header-cache miss per
+// block on import.
+TEST(OrphanBatchTest, EachReceivedBlockIsHashedOnce) {
+  IngressPair pair(HardeningOptions{});
+  // a replica of the genesis builds a branch the victim has never seen
+  core::Blockchain replica(core::ChainConfig::mainnet_pre_fork(),
+                           pair.executor, core::GenesisAlloc{}, 0,
+                           U256(100'000));
+  const Address coinbase = Address::left_padded(Bytes{0x0c});
+  const core::Timestamp ts = replica.head().header.timestamp;
+  const core::Block missing = replica.produce_block(coinbase, ts + 13, {}, 1);
+  ASSERT_EQ(replica.import(missing).result, core::ImportResult::kImported);
+  std::vector<core::Block> batch;  // four siblings under `missing`…
+  for (std::uint64_t i = 0; i < 4; ++i)
+    batch.push_back(replica.produce_block(coinbase, ts + 26 + i, {}, 10 + i));
+  ASSERT_EQ(replica.import(batch[0]).result, core::ImportResult::kImported);
+  // …and a child of the first sibling
+  batch.push_back(replica.produce_block(coinbase, ts + 40, {}, 20));
+
+  std::uint64_t start = keccak_permutations();
+  for (const core::Block& b : batch) (void)b.hash();
+  const std::uint64_t hash_cost = keccak_permutations() - start;
+  ASSERT_GT(hash_cost, 0u);
+
+  pair.send_raw(p2p::Message{p2p::Blocks{batch}});
+  start = keccak_permutations();
+  // the victim handles the batch at +0.01 s; the host's answer to its
+  // GetBlocks for `missing` would come at +0.02 s
+  pair.loop.run_until(pair.loop.now() + 0.015);
+  EXPECT_EQ(pair.victim->orphan_count(), batch.size());
+  EXPECT_EQ(keccak_permutations() - start, 2 * hash_cost);
 }
 
 }  // namespace

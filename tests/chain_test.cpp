@@ -222,23 +222,6 @@ TEST_F(ChainTest, TotalDifficultyAccumulates) {
             genesis_td + b.header.difficulty);
 }
 
-TEST_F(ChainTest, PruneStatesBlocksDeepImports) {
-  std::vector<Block> blocks;
-  for (int i = 0; i < 5; ++i) {
-    Block b = mine(chain_, kMinerA);
-    chain_.import(b);
-    blocks.push_back(b);
-  }
-  chain_.prune_states_below(5, /*checkpoint_interval=*/1000);
-  // a competing child of a pruned block can no longer be verified
-  Block fork_child = blocks[1];
-  fork_child.header.nonce = 777;  // distinct block, same parent as blocks[1]
-  EXPECT_EQ(chain_.import(fork_child).result, ImportResult::kUnknownParent);
-  // head continues to work
-  Block next = mine(chain_, kMinerA);
-  EXPECT_EQ(chain_.import(next).result, ImportResult::kImported);
-}
-
 // ------------------------------------------------------------ the DAO rule
 
 class DaoForkTest : public ::testing::Test {

@@ -256,7 +256,7 @@ TEST(PeerBanTest, GarbageSpewingPeerIsBannedAndCounted) {
   peer.handshake(*node);
   ASSERT_EQ(node->peers().active_count(), 1u);
 
-  // two garbage frames at -3 each cross the default ban_score of -5
+  // two garbage frames at -3 each cross the ban score of -5
   for (int i = 0; i < 2; ++i) {
     net.network.send(peer.id_, node->id(), Bytes{0xde, 0xad, 0xbe, 0xef});
     net.loop.run_until(net.loop.now() + 1.0);

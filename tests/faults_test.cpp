@@ -1,4 +1,4 @@
-// FaultInjector unit tests: link/node cuts, per-link latency overrides,
+// FaultInjector unit tests: link cuts, per-link latency overrides,
 // duplication (one shared payload per copy), reordering, extra loss, drop filters, scheduled cut
 // windows, and the determinism of sampled churn schedules.
 #include <gtest/gtest.h>
@@ -95,21 +95,6 @@ TEST(FaultInjectorTest, BidiCutBlocksBothDirections) {
   p.faults.heal_link_bidi(p.a, p.b);
   EXPECT_FALSE(p.faults.link_is_cut(p.a, p.b));
   EXPECT_FALSE(p.faults.link_is_cut(p.b, p.a));
-}
-
-TEST(FaultInjectorTest, NodeCutIsolatesBothDirections) {
-  Probe p;
-  p.faults.cut_node(p.b);
-  p.send(p.a, p.b);
-  p.send(p.b, p.a);
-  p.loop.run();
-  EXPECT_TRUE(p.received.empty());
-  EXPECT_EQ(p.faults.counters().dropped_by_cut, 2u);
-
-  p.faults.heal_node(p.b);
-  p.send(p.a, p.b);
-  p.loop.run();
-  EXPECT_EQ(p.count_at(p.b), 1u);
 }
 
 TEST(FaultInjectorTest, ScheduledCutOpensAndClosesOnTime) {

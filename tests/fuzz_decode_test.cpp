@@ -404,40 +404,62 @@ TEST(KeccakPropertyTest, AvalancheOnSingleBitFlip) {
   }
 }
 
-// ------------------------------------------------------ trie proof property
-
-TEST(TrieProofPropertyTest, EveryKeyProvableAtEveryRoot) {
-  Rng rng(13);
-  trie::Trie t;
-  std::vector<Bytes> keys;
-  for (int i = 0; i < 80; ++i) {
-    Bytes key = random_bytes(rng, 8);
-    if (key.empty()) key.push_back(static_cast<std::uint8_t>(i));
-    Bytes value = random_bytes(rng, 60);
-    if (value.empty()) value.push_back(1);
-    t.put(key, value);
-    keys.push_back(key);
-
-    // after every insertion, every present key is provable at the new root
-    if (i % 16 == 0) {
-      const Hash256 root = t.root_hash();
-      for (const Bytes& k : keys) {
-        if (!t.contains(k)) continue;
-        const auto proof = t.prove(k);
-        const auto verified = trie::Trie::verify_proof(root, k, proof);
-        ASSERT_TRUE(verified.has_value());
-        EXPECT_EQ(*verified, *t.get(k));
-      }
-    }
-  }
-}
-
 // -------------------------------------------- trie node encoding round-trip
 
-/// Build a populated trie and collect the RLP encoding of every node on
-/// every key's proof path — i.e. the exact bytes the trie's per-node
-/// encoding memo produces and peers would receive in a proof.
-std::vector<Bytes> proof_node_encodings(Rng& rng, std::vector<Bytes>* keys) {
+using NibbleEntries = std::vector<std::pair<std::vector<std::uint8_t>, Bytes>>;
+
+/// Reference node builder, independent of the trie's own: rebuilds the node
+/// over entries [begin, end) (sorted, distinct nibble keys sharing the
+/// first `depth` nibbles) from the Yellow Paper rules alone, appends its
+/// RLP encoding to `out` after its children's, and returns its reference
+/// (the node itself when its encoding is under 32 bytes, else its hash).
+rlp::Item reference_node(const NibbleEntries& kvs, std::size_t begin,
+                         std::size_t end, std::size_t depth,
+                         std::vector<Bytes>& out) {
+  const std::vector<std::uint8_t>& first = kvs[begin].first;
+  const std::vector<std::uint8_t>& last = kvs[end - 1].first;
+  const auto from = [&](std::size_t i) {
+    return first.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::size_t common = 0;
+  while (depth + common < first.size() && depth + common < last.size() &&
+         first[depth + common] == last[depth + common])
+    ++common;
+
+  rlp::Item node;
+  if (end - begin == 1) {
+    node = rlp::Item::list(
+        {rlp::Item::str(trie::hex_prefix({from(depth), first.end()}, true)),
+         rlp::Item::str(kvs[begin].second)});
+  } else if (common > 0) {
+    node = rlp::Item::list(
+        {rlp::Item::str(
+             trie::hex_prefix({from(depth), from(depth + common)}, false)),
+         reference_node(kvs, begin, end, depth + common, out)});
+  } else {
+    std::vector<rlp::Item> slots(17);  // empty strings: absent children
+    std::size_t i = begin;
+    if (first.size() == depth) slots[16] = rlp::Item::str(kvs[i++].second);
+    while (i < end) {
+      const std::uint8_t nibble = kvs[i].first[depth];
+      std::size_t j = i;
+      while (j < end && kvs[j].first[depth] == nibble) ++j;
+      slots[nibble] = reference_node(kvs, i, j, depth + 1, out);
+      i = j;
+    }
+    node = rlp::Item::list(std::move(slots));
+  }
+  Bytes encoded = rlp::encode(node);
+  const bool embedded = encoded.size() < 32;
+  const Hash256 hash = keccak256(encoded);
+  out.push_back(std::move(encoded));
+  return embedded ? node : rlp::Item::str(hash.view());
+}
+
+/// Build a populated trie and collect the RLP encoding of every one of its
+/// nodes, rebuilt by reference_node and tied to the trie by its root hash —
+/// i.e. the exact bytes the trie's per-node encoding memo hashes.
+std::vector<Bytes> trie_node_encodings(Rng& rng) {
   trie::Trie t;
   for (int i = 0; i < 60; ++i) {
     Bytes key = random_bytes(rng, 6);
@@ -445,11 +467,13 @@ std::vector<Bytes> proof_node_encodings(Rng& rng, std::vector<Bytes>* keys) {
     Bytes value = random_bytes(rng, 50);
     if (value.empty()) value.push_back(1);
     t.put(key, value);
-    if (keys != nullptr) keys->push_back(std::move(key));
   }
+  NibbleEntries kvs;
+  for (auto& [key, value] : t.entries())
+    kvs.emplace_back(trie::to_nibbles(key), std::move(value));
   std::vector<Bytes> nodes;
-  for (const auto& [key, _] : t.entries())
-    for (Bytes& enc : t.prove(key)) nodes.push_back(std::move(enc));
+  reference_node(kvs, 0, kvs.size(), 0, nodes);
+  EXPECT_EQ(keccak256(nodes.back()), t.root_hash());  // the root is last
   return nodes;
 }
 
@@ -457,7 +481,7 @@ class TrieNodeFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TrieNodeFuzzTest, NodeEncodingsRoundTripThroughRlp) {
   Rng rng(GetParam() * 101);
-  for (const Bytes& enc : proof_node_encodings(rng, nullptr)) {
+  for (const Bytes& enc : trie_node_encodings(rng)) {
     // every node the trie emits is canonical RLP: it decodes without error,
     // consumes every byte, and re-encodes to the identical byte string
     const rlp::DecodeResult decoded = rlp::decode(enc);
@@ -473,8 +497,7 @@ TEST_P(TrieNodeFuzzTest, NodeEncodingsRoundTripThroughRlp) {
 
 TEST_P(TrieNodeFuzzTest, MutatedNodeEncodingsNeverCrashDecoders) {
   Rng rng(GetParam() * 103);
-  std::vector<Bytes> keys;
-  const std::vector<Bytes> nodes = proof_node_encodings(rng, &keys);
+  const std::vector<Bytes> nodes = trie_node_encodings(rng);
   for (int trial = 0; trial < 200; ++trial) {
     Bytes enc = nodes[rng.uniform(nodes.size())];
     const std::size_t pos = rng.uniform(enc.size());
@@ -484,17 +507,6 @@ TEST_P(TrieNodeFuzzTest, MutatedNodeEncodingsNeverCrashDecoders) {
     (void)rlp::decode(enc);
     // nor may the path decoder, fed the (possibly garbage) first payload
     (void)trie::decode_hex_prefix(enc);
-
-    // a proof whose root node was swapped for the corrupted bytes must fail
-    // verification (the root commitment no longer matches) — and not crash
-    trie::Trie t;
-    t.put(Bytes{0x01}, Bytes{0xaa});
-    const Hash256 root = t.root_hash();
-    auto proof = t.prove(Bytes{0x01});
-    ASSERT_FALSE(proof.empty());
-    proof[0] = enc;  // swap in the corrupted node
-    EXPECT_FALSE(
-        trie::Trie::verify_proof(root, Bytes{0x01}, proof).has_value());
   }
 }
 
@@ -527,24 +539,6 @@ TEST_P(TrieNodeFuzzTest, RandomBytesNeverCrashHexPrefixDecode) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieNodeFuzzTest,
                          ::testing::Values(1, 2, 3, 4));
-
-TEST(TrieProofPropertyTest, ProofFromOldRootFailsAfterMutation) {
-  trie::Trie t;
-  t.put(Bytes{0x01}, Bytes{0xaa});
-  const Hash256 old_root = t.root_hash();
-  const auto old_proof = t.prove(Bytes{0x01});
-
-  t.put(Bytes{0x01}, Bytes{0xbb});  // mutate
-  const Hash256 new_root = t.root_hash();
-  // old proof fails against the new root...
-  EXPECT_FALSE(
-      trie::Trie::verify_proof(new_root, Bytes{0x01}, old_proof).has_value());
-  // ...but still verifies against the old root (commitments are immutable)
-  const auto old_value =
-      trie::Trie::verify_proof(old_root, Bytes{0x01}, old_proof);
-  ASSERT_TRUE(old_value.has_value());
-  EXPECT_EQ(*old_value, (Bytes{0xaa}));
-}
 
 }  // namespace
 }  // namespace forksim

@@ -264,8 +264,9 @@ TEST(SyncTest, TransientForkResolvesAndLoserBecomesOmmer) {
 // ---------------------------------------------- peer ban boundary behavior
 // A standalone PeerSet driven by a fake clock pins the expiry semantics the
 // adversary layer depends on: a ban is active strictly before
-// t0 + ban_seconds, lifts at exactly t0 + ban_seconds, reap prunes only
-// lapsed bans, and the ban history survives both expiry and re-offense.
+// t0 + kBanSeconds (peers.cpp), lifts at exactly t0 + kBanSeconds, reap
+// prunes only lapsed bans, and the ban history survives both expiry and
+// re-offense.
 
 struct BanRig {
   BanRig() {
@@ -288,7 +289,7 @@ TEST(PeerBanTest, BanLiftsAtExactlyBanSeconds) {
   ASSERT_TRUE(rig.set->connect(peer));
   rig.set->note_garbage(peer);
   EXPECT_FALSE(rig.set->is_banned(peer));  // -3: below the ban line
-  rig.set->note_garbage(peer);             // -6 <= ban_score: banned to 190
+  rig.set->note_garbage(peer);             // -6 <= kBanScore: banned to 190
   EXPECT_TRUE(rig.set->is_banned(peer));
   EXPECT_FALSE(rig.set->connected_to(peer));  // the ban drops the session
   EXPECT_EQ(rig.set->bans(), 1u);
@@ -298,7 +299,7 @@ TEST(PeerBanTest, BanLiftsAtExactlyBanSeconds) {
   EXPECT_TRUE(rig.set->is_banned(peer));
   EXPECT_FALSE(rig.set->connect(peer));
 
-  rig.now = 190.0;  // exactly t0 + ban_seconds: the ban lifts
+  rig.now = 190.0;  // exactly t0 + kBanSeconds: the ban lifts
   EXPECT_FALSE(rig.set->is_banned(peer));
   EXPECT_TRUE(rig.set->connect(peer));
   EXPECT_TRUE(rig.set->ever_banned(peer));  // history survives expiry

@@ -196,53 +196,6 @@ TEST(TrieTest, MoveSemantics) {
   EXPECT_EQ(*moved.get(bytes_of("k")), bytes_of("v"));
 }
 
-// ------------------------------------------------------------------ proofs
-
-TEST(TrieProofTest, ProveAndVerifyPresent) {
-  Trie t;
-  t.put(bytes_of("do"), bytes_of("verb"));
-  t.put(bytes_of("dog"), bytes_of("puppy"));
-  t.put(bytes_of("doge"), bytes_of("coin"));
-  t.put(bytes_of("horse"), bytes_of("stallion"));
-
-  for (std::string_view key : {"do", "dog", "doge", "horse"}) {
-    auto proof = t.prove(bytes_of(key));
-    ASSERT_FALSE(proof.empty()) << key;
-    auto value = Trie::verify_proof(t.root_hash(), bytes_of(key), proof);
-    ASSERT_TRUE(value.has_value()) << key;
-    EXPECT_EQ(*value, *t.get(bytes_of(key)));
-  }
-}
-
-TEST(TrieProofTest, VerifyFailsForWrongRoot) {
-  Trie t;
-  t.put(bytes_of("a"), bytes_of("1"));
-  auto proof = t.prove(bytes_of("a"));
-  Hash256 wrong = t.root_hash();
-  wrong[0] ^= 0xff;
-  EXPECT_FALSE(Trie::verify_proof(wrong, bytes_of("a"), proof).has_value());
-}
-
-TEST(TrieProofTest, VerifyFailsForAbsentKey) {
-  Trie t;
-  t.put(bytes_of("dog"), bytes_of("puppy"));
-  auto proof = t.prove(bytes_of("cat"));
-  EXPECT_FALSE(
-      Trie::verify_proof(t.root_hash(), bytes_of("cat"), proof).has_value());
-}
-
-TEST(TrieProofTest, VerifyFailsForTamperedProof) {
-  Trie t;
-  // big values so nodes are hashed, not embedded
-  for (int i = 0; i < 10; ++i)
-    t.put(bytes_of("key" + std::to_string(i)), Bytes(64, static_cast<std::uint8_t>(i)));
-  auto proof = t.prove(bytes_of("key3"));
-  ASSERT_FALSE(proof.empty());
-  proof.back()[0] ^= 0x01;
-  EXPECT_FALSE(
-      Trie::verify_proof(t.root_hash(), bytes_of("key3"), proof).has_value());
-}
-
 // ------------------------------------------------------ ordered trie root
 
 TEST(OrderedTrieRootTest, EmptyListIsEmptyRoot) {
